@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, presets
 from .fitting import FitProblem, FreeParameter, ObservedTrace, fit, identifiability_report
+from .model import validate_system
 from .modelio import (
     ModelFormatError,
     config_hash,
@@ -56,15 +57,19 @@ def _load_config(path) -> dict:
 
 
 def _model_from_config(cfg: dict, base: Path):
+    """The config's model, loaded and validated; every violation becomes one
+    line of the ConfigError."""
     if "model" not in cfg:
         raise ConfigError("config missing 'model'")
     model = cfg["model"]
     try:
-        if isinstance(model, str):
-            return load_model(base / model)
-        return spec_from_dict(model)
+        spec = load_model(base / model) if isinstance(model, str) else spec_from_dict(model)
     except (ModelFormatError, FileNotFoundError) as exc:
         raise ConfigError(str(exc))
+    report = validate_system(spec)
+    if not report.ok:
+        raise ConfigError("\n".join(f"model: {line}" for line in report.violations))
+    return spec
 
 
 def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
@@ -76,8 +81,8 @@ def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
         start, stop = float(g["start"]), float(g["stop"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"delta_grid: {exc}")
-    if n < 1 or not stop > start:
-        raise ConfigError("delta_grid must be non-empty with stop > start")
+    if n < 1 or not stop > start or not np.isfinite([start, stop]).all():
+        raise ConfigError("delta_grid must be non-empty and finite with stop > start")
     return np.linspace(start * scale, stop * scale, n)
 
 
@@ -111,13 +116,6 @@ def cmd_simulate(args) -> int:
     base = Path(args.config).parent
     scale = unit_scale(cfg.get("units", "Hz"))
     spec = _model_from_config(cfg, base)
-    from .model import validate_system
-
-    report = validate_system(spec)
-    if not report.ok:
-        for line in report.violations:
-            print(f"config error: model: {line}", file=sys.stderr)
-        return EXIT_CONFIG
     grid = _grid_from_config(cfg, scale)
     mode = cfg.get("mode", "inhomogeneous")
     out = Path(args.out)
@@ -242,12 +240,7 @@ def cmd_fit(args) -> int:
 
         writer = _csv.writer(fh)
         writer.writerow(["trace", "delta_hz", "signal", "model"])
-        from .fitting import _Objective
-
-        obj = _Objective(traces, problem)
-        x = np.array([result.estimates[n] for n in result.parameter_names])
-        for t, trace in enumerate(traces):
-            m = result.scales[t] * obj.model(t, x) + result.offsets[t]
+        for t, (trace, m) in enumerate(zip(traces, result.curves)):
             for d, s, mv in zip(trace.delta_grid, trace.signal, m):
                 writer.writerow([t, repr(float(d)), repr(float(s)), repr(float(mv))])
     print(out / "fit.json")
@@ -415,7 +408,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        for line in str(exc).splitlines():
+            print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # engine failures
         print(f"engine error: {exc}", file=sys.stderr)

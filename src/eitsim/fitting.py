@@ -85,6 +85,7 @@ class FitResult:
     converged: bool
     message: str = ""
     warnings: list[str] = field(default_factory=list)
+    curves: list[np.ndarray] = field(default_factory=list)  # per-trace fitted model
 
 
 @dataclass
@@ -314,14 +315,11 @@ def fit(traces, problem: FitProblem) -> FitResult:
     s_inv = np.where(tiny, 0.0, 1.0 / np.maximum(s, 1e-300))
     cov = (vt.T * s_inv**2) @ vt * s2
 
-    # De-duplicate slots that share one slot index across traces (shared
-    # parameters occupy a single vector entry already), then map to names.
-    estimates = dict(zip(obj.names, _slot_to_named(obj, res.x)))
-    uncertainties = dict(zip(obj.names, _slot_to_named(obj, np.sqrt(np.diag(cov)))))
+    # Vector slots are in name order: a shared parameter has a single slot.
     return FitResult(
         parameter_names=list(obj.names),
-        estimates=estimates,
-        uncertainties=uncertainties,
+        estimates=dict(zip(obj.names, map(float, res.x))),
+        uncertainties=dict(zip(obj.names, map(float, np.sqrt(np.diag(cov))))),
         covariance=cov,
         residual_norm=float(norm * np.linalg.norm(res.fun)),
         scales=obj.scales.copy(),
@@ -329,12 +327,10 @@ def fit(traces, problem: FitProblem) -> FitResult:
         converged=res.status > 0,
         message=res.message,
         warnings=warnings,
+        curves=[
+            obj.scales[t] * obj.model(t, res.x) + obj.offsets[t] for t in range(len(traces))
+        ],
     )
-
-
-def _slot_to_named(obj: _Objective, values: np.ndarray) -> list[float]:
-    # Slot order equals name order by construction.
-    return [float(v) for v in values]
 
 
 def identifiability_report(problem: FitProblem, traces=None) -> IdentifiabilityReport:

@@ -128,6 +128,19 @@ def _trace_indices(n: int) -> np.ndarray:
     return np.arange(n) * (n + 1)
 
 
+def _bordered_system(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generator with row 0 replaced by the trace constraint, and its rhs e_0.
+
+    Its solution is the unit-trace steady state whenever it is nonsingular.
+    """
+    a = mat.copy()
+    a[0, :] = 0.0
+    a[0, _trace_indices(n)] = 1.0
+    b = np.zeros(n * n, dtype=complex)
+    b[0] = 1.0
+    return a, b
+
+
 def steady_state(liouv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
     """Unique unit-trace null vector of the generator.
 
@@ -137,12 +150,7 @@ def steady_state(liouv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
     """
     mat = liouv.matrix
     n = liouv.n_levels
-    m = mat.shape[0]
-    a = mat.copy()
-    a[0, :] = 0.0
-    a[0, _trace_indices(n)] = 1.0
-    b = np.zeros(m, dtype=complex)
-    b[0] = 1.0
+    a, b = _bordered_system(mat, n)
 
     scale = np.abs(mat).max()
     vec = None

@@ -19,15 +19,12 @@ import numpy as np
 
 from .model import (
     CONTROL,
-    EXCITED,
-    PROBE,
     DetuningPoint,
     LevelSystemSpec,
-    assemble_hamiltonian,
     assign_rotating_frame,
     detuning_derivatives,
 )
-from .lindblad import TWO_PI, build_liouvillian
+from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
 
 _CHUNK = 16  # detuning samples per batched solve; fixed so chunking does not
              # depend on the worker count
@@ -55,12 +52,12 @@ class InhomogeneitySpec:
     auto_dense: bool = True
 
     def __post_init__(self):
-        if self.fwhm < 0:
-            raise ValueError("fwhm must be >= 0")
+        if not 0.0 <= self.fwhm < np.inf:
+            raise ValueError("fwhm must be finite and >= 0")
         if self.n_samples < 1 or self.n_samples % 2 == 0:
             raise ValueError("n_samples must be odd and >= 1")
-        if self.truncation <= 0:
-            raise ValueError("truncation must be > 0")
+        if not 0.0 < self.truncation < np.inf:
+            raise ValueError("truncation must be finite and > 0")
 
     @property
     def sigma(self) -> float:
@@ -117,20 +114,26 @@ def homogeneous_linewidth(spec: LevelSystemSpec) -> float:
     return max(totals.values(), default=0.0)
 
 
+def _probe_readout(spec: LevelSystemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Column-stacked indices of the probe coherences rho[g, e] and their
+    weights 2 * rabi / max rabi; both empty without probe couplings."""
+    probe = spec.probe
+    if probe is None or not probe.couplings:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    n = spec.n_levels
+    idx = np.array([spec.index(c.ground) + n * spec.index(c.excited) for c in probe.couplings])
+    rabis = np.array([c.rabi for c in probe.couplings])
+    return idx, 2.0 * rabis / rabis.max()
+
+
 def probe_absorption(rho: np.ndarray, spec: LevelSystemSpec) -> float:
     """Normalized rate of energy absorption from the probe field.
 
     A = (2 / max rabi) * sum over probe couplings of rabi * Im(rho[g, e]),
     which is Rabi-scale-free and positive for an absorbing steady state.
     """
-    probe = spec.probe
-    if probe is None or not probe.couplings:
-        return 0.0
-    rabi_max = max(c.rabi for c in probe.couplings)
-    total = 0.0
-    for c in probe.couplings:
-        total += c.rabi * rho[spec.index(c.ground), spec.index(c.excited)].imag
-    return 2.0 * total / rabi_max
+    idx, weights = _probe_readout(spec)
+    return float(rho.ravel(order="F")[idx].imag @ weights)
 
 
 class _SweepKernel:
@@ -138,38 +141,19 @@ class _SweepKernel:
 
     def __init__(self, spec: LevelSystemSpec):
         self.spec = spec
-        self.n = spec.n_levels
-        frame = assign_rotating_frame(spec)
-        h0 = assemble_hamiltonian(spec, frame, DetuningPoint(0.0, 0.0))
-        liouv = build_liouvillian(h0, spec.decays, spec.dephasings, spec.labels)
-        n = self.n
-        d_delta, d_tp = detuning_derivatives(spec, frame)
+        self.n = n = spec.n_levels
+        liouv = liouvillian_for(spec, DetuningPoint(0.0, 0.0))
+        d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
         # Diagonal (in vec space) update vectors for the commutator term.
         i_idx = np.arange(n * n) % n
         j_idx = np.arange(n * n) // n
         self.diag_delta = -1j * TWO_PI * (d_delta[i_idx] - d_delta[j_idx])
         self.diag_tp = -1j * TWO_PI * (d_tp[i_idx] - d_tp[j_idx])
 
-        # Bordered matrix: row 0 replaced by the trace constraint.  The
-        # detuning updates vanish on population components, so the trace row
-        # is never touched by the per-point diagonal shifts.
-        a0 = liouv.matrix.copy()
-        a0[0, :] = 0.0
-        a0[0, np.arange(n) * (n + 1)] = 1.0
-        self.a0 = a0
-        self.rhs = np.zeros(n * n, dtype=complex)
-        self.rhs[0] = 1.0
-
-        probe = spec.probe
-        if probe is not None and probe.couplings:
-            self.probe_idx = np.array(
-                [spec.index(c.ground) + n * spec.index(c.excited) for c in probe.couplings]
-            )
-            rabis = np.array([c.rabi for c in probe.couplings])
-            self.probe_w = 2.0 * rabis / rabis.max()
-        else:
-            self.probe_idx = np.array([], dtype=int)
-            self.probe_w = np.array([])
+        # The detuning updates vanish on population components, so the trace
+        # row of the bordered matrix is never touched by the diagonal shifts.
+        self.a0, self.rhs = _bordered_system(liouv.matrix, n)
+        self.probe_idx, self.probe_w = _probe_readout(spec)
 
     def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray) -> np.ndarray:
         """Absorbance on the grid deltas x two_photons, shape (nd, nt)."""
@@ -184,9 +168,17 @@ class _SweepKernel:
             deltas[:, None, None] * self.diag_delta[None, None, :]
             + two_photons[None, :, None] * self.diag_tp[None, None, :]
         )
-        x = np.linalg.solve(a, np.broadcast_to(self.rhs, (nd, nt, m))[..., None])[..., 0]
-        if self.probe_idx.size == 0:
-            return np.zeros((nd, nt))
+        try:
+            x = np.linalg.solve(a, np.broadcast_to(self.rhs, (nd, nt, m))[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # A singular bordered system: re-solve point by point, where the
+            # SVD fallback either finds the unique steady state or raises
+            # DegenerateSteadyState.
+            return np.array([
+                [probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(d, t))),
+                                  self.spec) for t in two_photons]
+                for d in deltas
+            ])
         return x[..., self.probe_idx].imag @ self.probe_w
 
 

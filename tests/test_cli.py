@@ -74,10 +74,21 @@ class TestSimulate:
         assert (out1 / "trace.csv").read_bytes() == (out8 / "trace.csv").read_bytes()
 
     def test_empty_grid_is_config_error(self, tmp_path, model_file):
-        cfg = simulate_config(
-            tmp_path, model_file, delta_grid={"start": 0.0, "stop": 0.0, "points": 0}
-        )
-        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        inf = float("inf")
+        for start, stop, points in ((0.0, 0.0, 0), (-inf, 20.0, 41), (-20.0, inf, 41)):
+            cfg = simulate_config(
+                tmp_path, model_file,
+                delta_grid={"start": start, "stop": stop, "points": points},
+            )
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_inhomogeneity_is_config_error(self, tmp_path, model_file, capsys):
+        for block in ({"fwhm": float("nan")}, {"fwhm": 2000.0, "truncation": float("inf")}):
+            cfg = simulate_config(
+                tmp_path, model_file, mode="inhomogeneous", inhomogeneity=block
+            )
+            assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "config error: inhomogeneity" in capsys.readouterr().err
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -93,13 +104,22 @@ class TestSimulate:
     def test_invalid_model_lists_violations(self, tmp_path, capsys):
         doc = spec_to_dict(presets.three_level_lambda(), "MHz")
         doc["drives"] = doc["drives"][:1]  # drop the control field
+        doc["decays"][0]["rate"] = -1.0
         model = tmp_path / "broken.json"
         write_json(model, doc)
-        cfg = simulate_config(tmp_path, model)
-        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "control" in capsys.readouterr().err
+        # every command validates its model before any other config block
+        for command, cfg in (
+            ("simulate", simulate_config(tmp_path, model)),
+            ("map", write_json(tmp_path / "map.json", {"units": "MHz", "model": model.name})),
+            ("fit", write_json(tmp_path / "fit.json", {"units": "MHz", "model": model.name})),
+        ):
+            assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2, err  # one line per violation
+            assert all(line.startswith("config error: model: ") for line in err)
+            assert "control" in err[0] and "rate" in err[1]
 
-    def test_engine_failure_exit_code(self, tmp_path):
+    def test_engine_failure_exit_code(self, tmp_path, capsys):
         # disconnected extra ground level: singular steady-state system
         doc = spec_to_dict(presets.three_level_lambda(), "MHz")
         doc["levels"].append({"label": "g9", "manifold": "ground", "energy": 5.0})
@@ -107,6 +127,7 @@ class TestSimulate:
         write_json(model, doc)
         cfg = simulate_config(tmp_path, model)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "engine error: null space dimension 2" in capsys.readouterr().err
 
     def test_unknown_preset(self, tmp_path):
         assert cli.main(

@@ -130,6 +130,11 @@ class TestFit:
         )
         assert result.scales[0] == pytest.approx(3.0, rel=0.05)
         assert result.offsets[0] == pytest.approx(0.01, rel=0.05)
+        # the returned curve is the scaled, offset model the residual measures
+        assert len(result.curves) == 1
+        assert np.linalg.norm(trace.signal - result.curves[0]) == pytest.approx(
+            result.residual_norm, rel=1e-9
+        )
         # 1-sigma claims should bracket within a few sigma
         for name, truth in (("gamma_e", presets.GAMMA_E),
                             ("gamma_g_star", presets.GAMMA_G_STAR)):
@@ -183,6 +188,7 @@ class TestFit:
         )
         result = fit(traces, problem)
         est = [result.estimates[f"gamma_e_deph[{k}]"] for k in range(3)]
+        assert [c.shape for c in result.curves] == [t.signal.shape for t in traces]
         assert est[0] < est[1] < est[2]
         assert est[1] == pytest.approx(4e6, rel=0.15)
         assert est[2] == pytest.approx(12e6, rel=0.15)

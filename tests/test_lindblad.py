@@ -24,6 +24,7 @@ from eitsim.model import (
     Level,
     LevelSystemSpec,
 )
+from eitsim.spectra import InhomogeneitySpec, homogeneous_spectrum, inhomogeneous_spectrum
 
 
 class TestBuild:
@@ -160,6 +161,12 @@ class TestSteadyState:
         liouv = liouvillian_for(spec, DetuningPoint(0.0, 0.0))
         with pytest.raises(DegenerateSteadyState):
             steady_state(liouv)
+        # the batched sweeps fall back to the same single-point solve
+        grid = np.linspace(-1e6, 1e6, 5)
+        with pytest.raises(DegenerateSteadyState):
+            homogeneous_spectrum(spec, 0.0, grid)
+        with pytest.raises(DegenerateSteadyState):
+            inhomogeneous_spectrum(spec, InhomogeneitySpec(fwhm=1e8, n_samples=11), grid)
 
     def test_scaling_invariance(self, rng):
         # multiplying all rates, Rabi amplitudes and detunings by s rescales

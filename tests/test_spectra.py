@@ -108,6 +108,22 @@ class TestHomogeneous:
             contrasts.append(dip_metrics(tr)["contrast"])
         assert all(b >= a for a, b in zip(contrasts, contrasts[1:]))
 
+    def test_sweep_matches_single_point_solve_five_level(self):
+        # Relative to the resonant peak: 100 GHz out the absorbance is ~1e-10
+        # of it, and two LU solves of one generator already differ by ~1e-11
+        # of that tiny value (the system's conditioning), hence 1e-10 there.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        grid = np.linspace(-2e7, 2.5e7, 46)
+        peak = np.abs(homogeneous_spectrum(spec, 0.0, grid).absorbance).max()
+        for shift in (0.0, 1e11, -1e11):
+            swept = homogeneous_spectrum(spec, shift, grid).absorbance
+            single = np.array([
+                probe_absorption(steady_state(liouvillian_for(spec, DetuningPoint(shift, d))), spec)
+                for d in grid
+            ])
+            assert np.abs(swept - single).max() <= 1e-12 * peak
+            assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
+
     def test_worker_count_bit_identical(self, lambda_spec):
         grid = np.linspace(-2e7, 2e7, 101)
         a = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=1)
@@ -192,6 +208,14 @@ class TestInhomogeneous:
         a = inhomogeneous_spectrum(lambda_spec, inhom, grid, workers=1)
         b = inhomogeneous_spectrum(lambda_spec, inhom, grid, workers=8)
         assert np.array_equal(a.absorbance, b.absorbance)
+
+    def test_spec_rejects_invalid_values(self):
+        nan, inf = float("nan"), float("inf")
+        for kw in ({"fwhm": -1.0}, {"fwhm": nan}, {"fwhm": inf},
+                   {"fwhm": 1e9, "n_samples": 2}, {"fwhm": 1e9, "truncation": 0.0},
+                   {"fwhm": 1e9, "truncation": nan}, {"fwhm": 1e9, "truncation": inf}):
+            with pytest.raises(ValueError):
+                InhomogeneitySpec(**kw)
 
     def test_shift_weights_normalized(self, lambda_spec):
         for fwhm in (0.0, 1e8, 140e9):
