@@ -87,53 +87,73 @@ def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
 
 
 def _inhom_from_config(cfg: dict, scale: float) -> InhomogeneitySpec:
+    """The ensemble block; keys it leaves out take InhomogeneitySpec's defaults."""
     block = cfg.get("inhomogeneity")
     if block is None:
         raise ConfigError("config missing 'inhomogeneity' block")
     try:
-        return InhomogeneitySpec(
-            fwhm=float(block["fwhm"]) * scale,
-            n_samples=int(block.get("n_samples", 801)),
-            truncation=float(block.get("truncation", 4.0)),
-        )
+        given = {k: cast(block[k]) for k, cast in (("n_samples", int), ("truncation", float))
+                 if k in block}
+        return InhomogeneitySpec(fwhm=float(block["fwhm"]) * scale, **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"inhomogeneity: {exc}")
 
 
-def _meta(cfg: dict, args) -> dict:
+def _simulation_from_config(cfg: dict, base: Path):
+    """One (stem, spec, grid, shift) row, like a preset's; see cmd_simulate."""
+    scale = unit_scale(cfg.get("units", "Hz"))
+    spec = _model_from_config(cfg, base)
+    grid = _grid_from_config(cfg, scale)
+    mode = cfg.get("mode", "inhomogeneous")
+    if mode == "homogeneous":
+        shift = float(cfg.get("control_detuning", 0.0)) * scale
+    elif mode == "inhomogeneous":
+        shift = _inhom_from_config(cfg, scale)
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+    return cfg.get("output_prefix", "trace"), spec, grid, shift
+
+
+def _meta(doc: dict, args) -> dict:
     return {
         "artifact_version": __version__,
-        "config_hash": config_hash(cfg),
-        "seed": args.seed,
+        "config_hash": config_hash(doc),
         "workers": args.workers,
     }
 
 
 def cmd_simulate(args) -> int:
+    """Compute each (stem, spec, grid, shift) row of a preset or a config.
+
+    shift is a control detuning (Hz) for one homogeneous spectrum, or an
+    InhomogeneitySpec for the Gaussian ensemble average.
+    """
+    if args.preset and args.config:
+        raise ConfigError("simulate takes --config or --preset, not both")
     if args.preset:
-        return _run_preset(args)
-    cfg = _load_config(args.config)
-    base = Path(args.config).parent
-    scale = unit_scale(cfg.get("units", "Hz"))
-    spec = _model_from_config(cfg, base)
-    grid = _grid_from_config(cfg, scale)
-    mode = cfg.get("mode", "inhomogeneous")
+        if args.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {args.preset!r}")
+        rows = PRESETS[args.preset]()
+        meta = dict(_meta({"preset": args.preset}, args), preset=args.preset)
+    elif args.config:
+        cfg = _load_config(args.config)
+        rows = [_simulation_from_config(cfg, Path(args.config).parent)]
+        meta = _meta(cfg, args)
+    else:
+        raise ConfigError("simulate needs --config or --preset")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prefix = cfg.get("output_prefix", "trace")
-    if mode == "homogeneous":
-        detuning = float(cfg.get("control_detuning", 0.0)) * scale
-        trace = homogeneous_spectrum(spec, detuning, grid, workers=args.workers)
-    elif mode == "inhomogeneous":
-        inhom = _inhom_from_config(cfg, scale)
-        trace = inhomogeneous_spectrum(
-            spec, inhom, grid, workers=args.workers,
-            check_convergence=args.check_convergence,
-        )
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    write_trace_csv(out / f"{prefix}.csv", trace, _meta(cfg, args))
-    print(out / f"{prefix}.csv")
+    for stem, spec, grid, shift in rows:
+        if isinstance(shift, InhomogeneitySpec):
+            trace = inhomogeneous_spectrum(
+                spec, shift, grid, workers=args.workers,
+                check_convergence=args.check_convergence,
+            )
+        else:
+            trace = homogeneous_spectrum(spec, shift, grid, workers=args.workers)
+        path = out / f"{stem}.csv"
+        write_trace_csv(path, trace, meta)
+        print(path)
     return 0
 
 
@@ -150,7 +170,12 @@ def cmd_map(args) -> int:
         excited = spin_from_dict(spin["excited"], cfg.get("units", "Hz"))
     except ModelFormatError as exc:
         raise ConfigError(str(exc))
-    b_values = np.asarray(cfg.get("b_values_mT", []), dtype=float) * 1e-3
+    try:
+        b_values = np.asarray(cfg.get("b_values_mT", []), dtype=float) * 1e-3
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"b_values_mT: {exc}")
+    if b_values.ndim > 1 or not (np.isfinite(b_values) & (b_values >= 0)).all():
+        raise ConfigError("b_values_mT: fields must be finite and >= 0, in one list")
     grid = _grid_from_config(cfg, scale)
     inhom = _inhom_from_config(cfg, scale)
     out = Path(args.out)
@@ -283,59 +308,53 @@ def cmd_presets(args) -> int:
 def _preset_fig3a():
     spec = presets.three_level_lambda()
     grid = np.linspace(-2e7, 2e7, 201)
-    yield "fig3a_homogeneous", ("homogeneous", spec, 0.0, grid, None)
-    inhom = InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=801)
-    yield "fig3a_inhomogeneous", ("inhomogeneous", spec, None, grid, inhom)
+    yield "fig3a_homogeneous", spec, grid, 0.0
+    yield "fig3a_inhomogeneous", spec, grid, InhomogeneitySpec(fwhm=presets.SIM_FWHM)
 
 
 def _preset_fig3b():
     spec = presets.three_level_lambda()
     grid = np.linspace(-2.5e8, 2.5e8, 501)
     for detuning in (0.0, 5e6, 2e7, 5e7, 2e8):
-        yield (
-            f"fig3b_detuning_{int(detuning / 1e6)}MHz",
-            ("homogeneous", spec, detuning, grid, None),
-        )
+        yield f"fig3b_detuning_{int(detuning / 1e6)}MHz", spec, grid, detuning
 
 
 def _preset_fig3c():
     spec = presets.three_level_lambda()
     grid = np.linspace(-6e7, 6e7, 241)
     for detuning in np.linspace(-5e7, 5e7, 41):
-        yield (
-            f"fig3c_row_{detuning / 1e6:+.1f}MHz".replace("+", "p").replace("-", "m"),
-            ("homogeneous", spec, float(detuning), grid, None),
-        )
+        stem = f"fig3c_row_{detuning / 1e6:+.1f}MHz".replace("+", "p").replace("-", "m")
+        yield stem, spec, grid, float(detuning)
 
 
 def _preset_fig4():
     gamma_e = presets.GAMMA_E
-    inhom = InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=801)
+    inhom = InhomogeneitySpec(fwhm=presets.SIM_FWHM)
     for mult in (0, 1, 3, 10):
         spec = presets.five_level_mismatch(delta_k=mult * gamma_e)
         grid = np.linspace(-5e7, 5e7 + mult * gamma_e * 1.5, 301)
-        yield f"fig4_mismatch_{mult}x", ("inhomogeneous", spec, None, grid, inhom)
+        yield f"fig4_mismatch_{mult}x", spec, grid, inhom
 
 
 def _preset_fig5_power():
-    inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=801)
+    inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM)
     grid = np.linspace(-2e7, 2.5e7, 226)
     for power_mw in (0.25, 1.0, 4.0, 16.0):
         omega_c = presets.OMEGA_C_PER_MW * np.sqrt(power_mw)
         spec = presets.five_level_double_eit(
             delta_k=11.1e6, delta_54=3e6, omega_c=omega_c
         )
-        yield f"fig5_power_{power_mw}mW", ("inhomogeneous", spec, None, grid, inhom)
+        yield f"fig5_power_{power_mw}mW", spec, grid, inhom
 
 
 def _preset_fig5_temperature():
-    inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=801)
+    inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM)
     grid = np.linspace(-2e7, 2.5e7, 226)
     for temp_k, gamma_e_deph in ((2, 0.0), (6, 2e6), (9, 7e6), (12, 14e6)):
         spec = presets.five_level_double_eit(
             delta_k=11.1e6, delta_54=3e6, gamma_e_deph=gamma_e_deph
         )
-        yield f"fig5_temperature_{temp_k}K", ("inhomogeneous", spec, None, grid, inhom)
+        yield f"fig5_temperature_{temp_k}K", spec, grid, inhom
 
 
 PRESETS = {
@@ -348,30 +367,13 @@ PRESETS = {
 }
 
 
-def _run_preset(args) -> int:
-    name = args.preset
-    if name not in PRESETS:
-        print(f"config error: unknown preset {name!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "artifact_version": __version__,
-        "config_hash": config_hash({"preset": name}),
-        "seed": args.seed,
-        "workers": args.workers,
-    }
-    for stem, (mode, spec, detuning, grid, inhom) in PRESETS[name]():
-        if mode == "homogeneous":
-            trace = homogeneous_spectrum(spec, detuning, grid, workers=args.workers)
-        else:
-            trace = inhomogeneous_spectrum(
-                spec, inhom, grid, workers=args.workers,
-                check_convergence=args.check_convergence,
-            )
-        write_trace_csv(out / f"{stem}.csv", trace, dict(meta, preset=name))
-        print(out / f"{stem}.csv")
-    return 0
+_FLAGS = {
+    "--config": {"help": "JSON config file"},
+    "--preset": {"help": "named figure-reproduction bundle"},
+    "--out": {"default": ".", "help": "output directory"},
+    "--workers": {"type": int, "default": 1},
+    "--check-convergence": {"action": "store_true"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,30 +383,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, needs_config in (
-        ("simulate", cmd_simulate, False),
-        ("map", cmd_map, True),
-        ("fit", cmd_fit, True),
-        ("check", cmd_check, True),
-        ("presets", cmd_presets, False),
+    for name, func, flags in (
+        ("simulate", cmd_simulate,
+         ("--config", "--preset", "--out", "--workers", "--check-convergence")),
+        ("map", cmd_map, ("--config", "--out", "--workers")),
+        ("fit", cmd_fit, ("--config", "--out", "--workers")),
+        ("check", cmd_check, ("--config",)),
+        ("presets", cmd_presets, ()),
     ):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON config file", required=needs_config)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--check-convergence", action="store_true")
-        if name == "simulate":
-            p.add_argument("--preset", help="named figure-reproduction bundle")
+        for flag in flags:
+            # simulate may take --preset instead; cmd_simulate checks the pair
+            required = flag == "--config" and name != "simulate"
+            p.add_argument(flag, required=required, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate" and not args.preset and not args.config:
-        print("config error: simulate needs --config or --preset", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

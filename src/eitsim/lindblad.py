@@ -7,7 +7,7 @@ to angular units happens here and only here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +35,6 @@ class Liouvillian:
     """N^2 x N^2 generator acting on the column-stacked density matrix."""
 
     matrix: np.ndarray
-    labels: tuple[str, ...] = ()
-    point: DetuningPoint | None = None
 
     @property
     def n_levels(self) -> int:
@@ -101,7 +99,6 @@ def build_liouvillian(
     decays: Sequence[DecayChannel] = (),
     dephasings: Sequence[Dephasing] = (),
     labels: Sequence[str] | None = None,
-    point: DetuningPoint | None = None,
 ) -> Liouvillian:
     """Assemble the full generator from a Hamiltonian (Hz) and channels."""
     n = h.shape[0]
@@ -114,14 +111,14 @@ def build_liouvillian(
     mat = hamiltonian_superoperator(h) + dissipator_superoperator(
         n, labels, decays, dephasings
     )
-    return Liouvillian(matrix=mat, labels=tuple(labels), point=point)
+    return Liouvillian(matrix=mat)
 
 
 def liouvillian_for(spec: LevelSystemSpec, point: DetuningPoint) -> Liouvillian:
     """Convenience: model spec + detuning point -> Liouvillian."""
     frame = assign_rotating_frame(spec)
     h = assemble_hamiltonian(spec, frame, point)
-    return build_liouvillian(h, spec.decays, spec.dephasings, spec.labels, point)
+    return build_liouvillian(h, spec.decays, spec.dephasings, spec.labels)
 
 
 def _trace_indices(n: int) -> np.ndarray:

@@ -205,14 +205,14 @@ def validate_system(spec: LevelSystemSpec) -> ValidationReport:
             v.append(f"dephasing on {dp.level!r}: negative rate")
 
     try:
-        assign_rotating_frame(spec, _validated=False)
+        assign_rotating_frame(spec)
     except NoConsistentFrame as exc:
         v.append(str(exc))
 
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
-def assign_rotating_frame(spec: LevelSystemSpec, _validated: bool = True) -> RotatingFrame:
+def assign_rotating_frame(spec: LevelSystemSpec) -> RotatingFrame:
     """Assign a frequency class to each level.
 
     Excited and undriven levels get the static (excited-manifold) class;

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eitsim import cli, presets
-from eitsim.modelio import read_trace_csv, save_model, spec_to_dict
+from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
 
 
@@ -137,6 +137,47 @@ class TestSimulate:
     def test_no_config_no_preset(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path)]) == 2
 
+    def test_config_and_preset_is_config_error(self, tmp_path, model_file, capsys):
+        cfg = simulate_config(tmp_path, model_file)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg, "--preset", "fig3a", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "config error: simulate takes --config or --preset" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    # every option a subcommand accepts is read by that command
+    OPTIONS = {
+        "simulate": {"--config", "--preset", "--out", "--workers", "--check-convergence"},
+        "map": {"--config", "--out", "--workers"},
+        "fit": {"--config", "--out", "--workers"},
+        "check": {"--config"},
+        "presets": set(),
+    }
+
+    def test_option_sets(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.choices and "simulate" in a.choices]
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, sp in sub.choices.items():
+            flags = {f for a in sp._actions for f in a.option_strings} - {"-h", "--help"}
+            assert flags == self.OPTIONS[name], name
+        assert sum(map(len, self.OPTIONS.values())) == 12
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--config", "c.json", "--workers", "2"],
+        ["presets", "--out", "x"],
+        ["map", "--config", "c.json", "--check-convergence"],
+        ["fit", "--config", "c.json", "--seed", "1"],
+        ["simulate", "--preset", "fig3a", "--seed", "1"],
+    ])
+    def test_unread_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPresets:
     def test_listing(self, capsys):
@@ -153,6 +194,15 @@ class TestPresets:
         assert files == ["fig3a_homogeneous.csv", "fig3a_inhomogeneous.csv"]
         meta = json.loads((out / "fig3a_homogeneous.meta.json").read_text())
         assert meta["preset"] == "fig3a"
+        # a config run of the same row writes the same sidecar keys, bar "preset"
+        model = tmp_path / "model.json"
+        save_model(model, presets.three_level_lambda(), units="MHz")
+        cfg = simulate_config(tmp_path, model)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "cfg")]) == 0
+        cfg_meta = json.loads((tmp_path / "cfg" / "trace.meta.json").read_text())
+        assert set(meta) - {"preset"} == set(cfg_meta)
+        assert "seed" not in meta and "seed" not in cfg_meta
+        assert meta["config_hash"] == config_hash({"preset": "fig3a"})
 
 
 class TestCheck:
@@ -191,28 +241,37 @@ class TestCheck:
 
 
 class TestMap:
-    def test_small_map(self, tmp_path):
+    def map_config(self, tmp_path, **over):
         model = tmp_path / "five.json"
         save_model(model, presets.five_level_double_eit(5e6, 3e6), units="MHz")
-        cfg = write_json(
-            tmp_path / "map.json",
-            {
-                "units": "MHz",
-                "model": model.name,
-                "spin": {
-                    "ground": {"D": 20.0, "E": 2.0, "g": 2.0, "phi_deg": 30.0},
-                    "excited": {"D": 10.0, "E": 0.0, "g": 2.0, "phi_deg": 30.0},
-                },
-                "b_values_mT": [0.1, 0.2],
-                "delta_grid": {"start": -15.0, "stop": 15.0, "points": 31},
-                "inhomogeneity": {"fwhm": 1000.0, "n_samples": 101},
+        doc = {
+            "units": "MHz",
+            "model": model.name,
+            "spin": {
+                "ground": {"D": 20.0, "E": 2.0, "g": 2.0, "phi_deg": 30.0},
+                "excited": {"D": 10.0, "E": 0.0, "g": 2.0, "phi_deg": 30.0},
             },
-        )
+            "b_values_mT": [0.1, 0.2],
+            "delta_grid": {"start": -15.0, "stop": 15.0, "points": 31},
+            "inhomogeneity": {"fwhm": 1000.0, "n_samples": 101},
+        }
+        doc.update(over)
+        return write_json(tmp_path / "map.json", doc)
+
+    def test_small_map(self, tmp_path):
+        cfg = self.map_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["map", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "map.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 2 field values
         assert len(lines[1].split(",")) == 32
+
+    @pytest.mark.parametrize("b_values", [["x"], [float("nan")], [0.1, -0.2]])
+    def test_bad_b_values_is_config_error(self, tmp_path, capsys, b_values):
+        cfg = self.map_config(tmp_path, b_values_mT=b_values)
+        assert cli.main(["map", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: b_values_mT: "), err
 
     def test_missing_spin_block(self, tmp_path):
         model = tmp_path / "five.json"
