@@ -92,8 +92,11 @@ def _inhom_from_config(cfg: dict, scale: float) -> InhomogeneitySpec:
     if block is None:
         raise ConfigError("config missing 'inhomogeneity' block")
     try:
-        given = {k: cast(block[k]) for k, cast in (("n_samples", int), ("truncation", float))
-                 if k in block}
+        given = {}
+        if "n_samples" in block:
+            given["n_samples"] = int(block["n_samples"])
+        if "truncation" in block:
+            given["truncation"] = float(block["truncation"])
         return InhomogeneitySpec(fwhm=float(block["fwhm"]) * scale, **given)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"inhomogeneity: {exc}")
@@ -174,7 +177,7 @@ def cmd_map(args) -> int:
         b_values = np.asarray(cfg.get("b_values_mT", []), dtype=float) * 1e-3
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"b_values_mT: {exc}")
-    if b_values.ndim > 1 or not (np.isfinite(b_values) & (b_values >= 0)).all():
+    if b_values.ndim != 1 or not (np.isfinite(b_values) & (b_values >= 0)).all():
         raise ConfigError("b_values_mT: fields must be finite and >= 0, in one list")
     grid = _grid_from_config(cfg, scale)
     inhom = _inhom_from_config(cfg, scale)

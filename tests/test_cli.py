@@ -187,7 +187,7 @@ class TestPresets:
                          "fig5-power", "fig5-temperature"):
             assert expected in names
 
-    def test_fig3a_bundle(self, tmp_path, capsys):
+    def test_fig3a_bundle(self, tmp_path, model_file):
         out = tmp_path / "fig3a"
         assert cli.main(["simulate", "--preset", "fig3a", "--out", str(out)]) == 0
         files = sorted(p.name for p in out.glob("*.csv"))
@@ -195,9 +195,7 @@ class TestPresets:
         meta = json.loads((out / "fig3a_homogeneous.meta.json").read_text())
         assert meta["preset"] == "fig3a"
         # a config run of the same row writes the same sidecar keys, bar "preset"
-        model = tmp_path / "model.json"
-        save_model(model, presets.three_level_lambda(), units="MHz")
-        cfg = simulate_config(tmp_path, model)
+        cfg = simulate_config(tmp_path, model_file)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "cfg")]) == 0
         cfg_meta = json.loads((tmp_path / "cfg" / "trace.meta.json").read_text())
         assert set(meta) - {"preset"} == set(cfg_meta)
@@ -266,7 +264,7 @@ class TestMap:
         assert len(lines) == 3  # header + 2 field values
         assert len(lines[1].split(",")) == 32
 
-    @pytest.mark.parametrize("b_values", [["x"], [float("nan")], [0.1, -0.2]])
+    @pytest.mark.parametrize("b_values", [["x"], [float("nan")], [0.1, -0.2], 0.1, "0.1", True])
     def test_bad_b_values_is_config_error(self, tmp_path, capsys, b_values):
         cfg = self.map_config(tmp_path, b_values_mT=b_values)
         assert cli.main(["map", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
