@@ -109,7 +109,12 @@ def _simulation_from_config(cfg: dict, base: Path):
     grid = _grid_from_config(cfg, scale)
     mode = cfg.get("mode", "inhomogeneous")
     if mode == "homogeneous":
-        shift = float(cfg.get("control_detuning", 0.0)) * scale
+        try:
+            shift = float(cfg.get("control_detuning", 0.0)) * scale
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"control_detuning: {exc}")
+        if not np.isfinite(shift):
+            raise ConfigError("control_detuning must be finite")
     elif mode == "inhomogeneous":
         shift = _inhom_from_config(cfg, scale)
     else:
@@ -292,8 +297,13 @@ def cmd_check(args) -> int:
     print(f"satisfied: {'yes' if report.satisfied else 'no'}")
     calib = cfg.get("calibration")
     if calib and report.min_omega_c > 0:
-        omega_ref = float(calib["omega_ref"]) * scale
-        power_ref = float(calib.get("power_ref_mw", 1.0)) * 1e-3
+        try:
+            omega_ref = float(calib["omega_ref"]) * scale
+            power_ref = float(calib.get("power_ref_mw", 1.0)) * 1e-3
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"calibration: {exc}")
+        if not (0.0 < omega_ref < np.inf and 0.0 < power_ref < np.inf):
+            raise ConfigError("calibration: omega_ref and power_ref_mw must be finite and > 0")
         required = power_from_rabi(report.min_omega_c, omega_ref, power_ref)
         print(f"required control power: {required * 1e3:.6g} mW")
     return 0

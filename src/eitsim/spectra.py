@@ -2,10 +2,11 @@
 magneto-spectroscopy maps, and the control-intensity threshold utilities.
 
 The steady-state sweep exploits the fact that the rotating-frame Hamiltonian
-is affine in the detuning point: the Liouvillian is precomputed once and only
-its diagonal is updated per (control_detuning, two_photon) sample, after which
-the bordered systems are solved in LAPACK batches.  Ensemble averaging uses a
-fixed-order weighted reduction, so results are bit-identical for any worker
+is affine in the detuning point: the Liouvillian is precomputed once, each
+optical shift (control_detuning) moves its diagonal and is factorised once,
+and the two-photon detuning, a low-rank diagonal update, is then evaluated in
+closed form over the whole grid (see _SweepKernel).  Ensemble averaging uses
+a fixed-order weighted reduction, so results are bit-identical for any worker
 count.
 """
 
@@ -28,6 +29,9 @@ from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
 
 _CHUNK = 16  # detuning samples per batched solve; fixed so chunking does not
              # depend on the worker count
+_MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
+                   # one refinement step does not restore; such shifts are
+                   # solved point by point
 
 
 class NonConvergedSampling(RuntimeError):
@@ -114,34 +118,61 @@ def homogeneous_linewidth(spec: LevelSystemSpec) -> float:
     return max(totals.values(), default=0.0)
 
 
-def _probe_readout(spec: LevelSystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Column-stacked indices of the probe coherences rho[g, e] and their
-    weights 2 * rabi / max rabi; both empty without probe couplings."""
+def _probe_readout(spec: LevelSystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacked indices of the probe coherences rho[g, e] and of their
+    mirror rho[e, g], and the weights rabi / max rabi; all empty without
+    probe couplings.
+
+    The absorbance is weights @ (Im vec[idx] - Im vec[idx_t]), twice the
+    probe coherence of the Hermitian part of vec: a computed steady state
+    is Hermitian only to rounding, and its Hermitian part is the closer one.
+    """
     probe = spec.probe
     if probe is None or not probe.couplings:
-        return np.zeros(0, dtype=int), np.zeros(0)
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     n = spec.n_levels
-    idx = np.array([spec.index(c.ground) + n * spec.index(c.excited) for c in probe.couplings])
+    g = np.array([spec.index(c.ground) for c in probe.couplings])
+    e = np.array([spec.index(c.excited) for c in probe.couplings])
     rabis = np.array([c.rabi for c in probe.couplings])
-    return idx, 2.0 * rabis / rabis.max()
+    return g + n * e, e + n * g, rabis / rabis.max()
 
 
 def probe_absorption(rho: np.ndarray, spec: LevelSystemSpec) -> float:
     """Normalized rate of energy absorption from the probe field.
 
     A = (2 / max rabi) * sum over probe couplings of rabi * Im(rho[g, e]),
-    which is Rabi-scale-free and positive for an absorbing steady state.
+    which is Rabi-scale-free and positive for an absorbing steady state; it
+    is read from the Hermitian part of rho.
     """
-    idx, weights = _probe_readout(spec)
-    return float(rho.ravel(order="F")[idx].imag @ weights)
+    idx, idx_t, weights = _probe_readout(spec)
+    vec = rho.ravel(order="F")
+    return float((vec[idx].imag - vec[idx_t].imag) @ weights)
 
 
 class _SweepKernel:
-    """Batched steady-state solver for a fixed model over detuning points."""
+    """Steady-state solver for a fixed model over (shift, two-photon) points.
+
+    The bordered generator at shift d and two-photon detuning t is
+    B(d, t) = a0 + d*diag(diag_delta) + t*diag(diag_tp).  diag_tp is nonzero
+    only on the coherences P of the probe-driven ground levels, so along t
+    each B is a rank-|P| diagonal update of A_d = B(d, 0).  One LU of A_d
+    gives A_d^-1, so x0 = A_d^-1 e_0 and G = A_d^-1 E_P.  With D = diag_tp[P]
+    and the eigendecomposition diag(D) G[P] = W diag(lam) W^-1, the Woodbury
+    identity gives every point of the two-photon axis in closed form,
+
+        x(d, t) = x0 - G W [t c_k / (1 + t lam_k)],   c = W^-1 (D * x0[P]),
+
+    so a shift costs one factorisation plus O(m |P|) per point; the lam_k
+    are the poles of the two-photon axis.  One step of iterative refinement
+    follows (it applies A_d^-1 to the residuals), and every point's residual
+    against its own B(d, t) is checked.  A shift that fails the check or has
+    an ill-conditioned W, and a chunk whose factorisation fails, is solved
+    point by point by steady_state.
+    """
 
     def __init__(self, spec: LevelSystemSpec):
         self.spec = spec
-        self.n = n = spec.n_levels
+        n = spec.n_levels
         liouv = liouvillian_for(spec, DetuningPoint(0.0, 0.0))
         d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
         # Diagonal (in vec space) update vectors for the commutator term.
@@ -149,37 +180,75 @@ class _SweepKernel:
         j_idx = np.arange(n * n) // n
         self.diag_delta = -1j * TWO_PI * (d_delta[i_idx] - d_delta[j_idx])
         self.diag_tp = -1j * TWO_PI * (d_tp[i_idx] - d_tp[j_idx])
+        self.tp_idx = np.flatnonzero(self.diag_tp)
 
         # The detuning updates vanish on population components, so the trace
         # row of the bordered matrix is never touched by the diagonal shifts.
-        self.a0, self.rhs = _bordered_system(liouv.matrix, n)
-        self.probe_idx, self.probe_w = _probe_readout(spec)
+        self.a0, _ = _bordered_system(liouv.matrix, n)  # rhs e_0
+        self.probe_idx, self.probe_idx_t, self.probe_w = _probe_readout(spec)
+
+    def _resolvent(self, a: np.ndarray):
+        """A_d^-1 and the pole form of each shift's two-photon axis: G W,
+        W^-1, lam and the 1-norm condition number of W, where
+        diag(D) G[P] = W diag(lam) W^-1."""
+        eye = np.eye(a.shape[-1])
+        ainv = np.linalg.solve(a, eye)
+        g = ainv[..., self.tp_idx]
+        lam, w = np.linalg.eig(self.diag_tp[self.tp_idx, None] * g[:, self.tp_idx, :])
+        winv = np.linalg.solve(w, eye[: len(self.tp_idx), : len(self.tp_idx)])
+        cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
+        return ainv, g @ w, winv, lam, cond
+
+    def _point_row(self, delta: float, two_photons: np.ndarray) -> np.ndarray:
+        """One shift's row by single-point solves; steady_state's SVD
+        fallback either finds the unique steady state or raises
+        DegenerateSteadyState."""
+        return np.array([
+            probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(delta, t))),
+                             self.spec)
+            for t in two_photons
+        ])
 
     def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray) -> np.ndarray:
         """Absorbance on the grid deltas x two_photons, shape (nd, nt)."""
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
-        nd, nt = len(deltas), len(two_photons)
-        m = self.n * self.n
-        a = np.empty((nd, nt, m, m), dtype=complex)
-        a[...] = self.a0
-        r = np.arange(m)
-        a[:, :, r, r] += (
-            deltas[:, None, None] * self.diag_delta[None, None, :]
-            + two_photons[None, :, None] * self.diag_tp[None, None, :]
-        )
+        r = np.arange(len(self.a0))
+        a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
+        a[:, r, r] += deltas[:, None] * self.diag_delta
         try:
-            x = np.linalg.solve(a, np.broadcast_to(self.rhs, (nd, nt, m))[..., None])[..., 0]
+            ainv, gw, winv, lam, cond = self._resolvent(a)
         except np.linalg.LinAlgError:
-            # A singular bordered system: re-solve point by point, where the
-            # SVD fallback either finds the unique steady state or raises
-            # DegenerateSteadyState.
-            return np.array([
-                [probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(d, t))),
-                                  self.spec) for t in two_photons]
-                for d in deltas
-            ])
-        return x[..., self.probe_idx].imag @ self.probe_w
+            return np.array([self._point_row(d, two_photons) for d in deltas])
+        p, d = self.tp_idx, self.diag_tp[self.tp_idx]
+        t = two_photons[:, None]
+        poles = t / (1.0 + t * lam[:, None, :])  # (nd, nt, |P|)
+        t_diag = t * self.diag_tp  # (nt, m)
+
+        def solve(y):
+            """B(d, t)^-1 b at every point, from y = A_d^-1 b."""
+            z = ((d * y[..., p]) @ winv.swapaxes(1, 2) * poles) @ gw.swapaxes(1, 2)
+            return np.subtract(y, z, out=z)
+
+        def residual(x):
+            """B(d, t) x - e_0 at every point."""
+            res = x @ a.swapaxes(1, 2)
+            res += t_diag * x
+            res[..., 0] -= 1.0
+            return res
+
+        x = solve(ainv[:, None, :, 0])  # A_d^-1 e_0
+        # One step of iterative refinement: where the pole terms cancel, it
+        # brings x back to the accuracy of a direct solve.
+        x -= solve(residual(x) @ ainv.swapaxes(1, 2))
+        tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
+        # NaN-safe: a NaN residual or condition number fails the comparison.
+        ok = (np.abs(residual(x)).max(axis=2) <= tol[:, None]).all(axis=1)
+        ok &= cond <= _MAX_COND_W
+        out = (x[..., self.probe_idx].imag - x[..., self.probe_idx_t].imag) @ self.probe_w
+        for k in np.flatnonzero(~ok):
+            out[k] = self._point_row(deltas[k], two_photons)
+        return out
 
 
 def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,

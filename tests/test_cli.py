@@ -90,6 +90,12 @@ class TestSimulate:
             assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
             assert "config error: inhomogeneity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("detuning", ["x", [1.0], float("nan"), float("inf")])
+    def test_bad_control_detuning_is_config_error(self, tmp_path, model_file, capsys, detuning):
+        cfg = simulate_config(tmp_path, model_file, control_detuning=detuning)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: control_detuning" in capsys.readouterr().err
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "units": "MHz",\n')
@@ -220,6 +226,19 @@ class TestCheck:
         assert "satisfied: yes" in out
         power = float(out.split("required control power:")[1].split("mW")[0])
         assert power == pytest.approx(600.0, rel=0.05)
+
+    @pytest.mark.parametrize("calibration", [
+        {"omega_ref": "x"}, {"omega_ref": 7.4, "power_ref_mw": "x"}, {"power_ref_mw": 1.0},
+        {"omega_ref": -7.4}, {"omega_ref": 7.4, "power_ref_mw": float("inf")}, [7.4],
+    ])
+    def test_bad_calibration_is_config_error(self, tmp_path, capsys, calibration):
+        cfg = write_json(
+            tmp_path / "check.json",
+            {"units": "MHz", "omega_c": 180.0, "delta_i": 140e3, "gamma_g": 0.23,
+             "calibration": calibration},
+        )
+        assert cli.main(["check", "--config", cfg]) == 2
+        assert "config error: calibration" in capsys.readouterr().err
 
     def test_zero_dephasing_message(self, tmp_path, capsys):
         cfg = write_json(

@@ -1,17 +1,28 @@
 """Spectrum layer: absorption observable, ensemble averaging, thresholds,
 magneto maps, and the dip metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from eitsim import presets
 from eitsim.lindblad import build_liouvillian, liouvillian_for, steady_state
-from eitsim.model import DetuningPoint, DecayChannel, DriveField
+from eitsim.model import (
+    Coupling,
+    DecayChannel,
+    Dephasing,
+    DetuningPoint,
+    DriveField,
+    Level,
+    LevelSystemSpec,
+)
 from eitsim.spectra import (
     InhomogeneitySpec,
     NonConvergedSampling,
     SpectrumTrace,
+    _SweepKernel,
     default_delta_grid,
     dip_metrics,
     eit_threshold,
@@ -117,10 +128,7 @@ class TestHomogeneous:
         peak = np.abs(homogeneous_spectrum(spec, 0.0, grid).absorbance).max()
         for shift in (0.0, 1e11, -1e11):
             swept = homogeneous_spectrum(spec, shift, grid).absorbance
-            single = np.array([
-                probe_absorption(steady_state(liouvillian_for(spec, DetuningPoint(shift, d))), spec)
-                for d in grid
-            ])
+            single = point_by_point(spec, shift, grid)
             assert np.abs(swept - single).max() <= 1e-12 * peak
             assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
 
@@ -129,6 +137,119 @@ class TestHomogeneous:
         a = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=1)
         b = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=4)
         assert np.array_equal(a.absorbance, b.absorbance)
+
+
+def random_model(rng) -> LevelSystemSpec:
+    """A random model in the style of acceptance criterion 8: 1-3 ground
+    and 1-3 excited levels, random rates and energies, and a control
+    coupling whenever it can drive a ground level other than the probe's."""
+
+    def rate():
+        return float(10.0 ** rng.uniform(2.0, 8.0))
+
+    n_g, n_e = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    grounds = [Level(f"g{i}", "ground", float(rng.uniform(0, 1e9))) for i in range(n_g)]
+    excited = [Level(f"e{i}", "excited", float(rng.uniform(0, 1e9))) for i in range(n_e)]
+    probe = [Coupling("g0", f"e{int(rng.integers(n_e))}", rate())]
+    ctrl_ground = f"g{int(rng.integers(n_g))}"
+    control = [] if ctrl_ground == "g0" else [
+        Coupling(ctrl_ground, f"e{int(rng.integers(n_e))}", rate())
+    ]
+    decays = [DecayChannel(e.label, g.label, rate()) for e in excited for g in grounds]
+    decays += [DecayChannel(a.label, b.label, rate())
+               for a in grounds for b in grounds if a is not b]
+    dephasings = [Dephasing(lv.label, rate())
+                  for lv in grounds + excited if rng.random() < 0.5]
+    return LevelSystemSpec(
+        levels=tuple(grounds + excited),
+        drives=(DriveField("probe", tuple(probe)), DriveField("control", tuple(control))),
+        decays=tuple(decays),
+        dephasings=tuple(dephasings),
+    )
+
+
+def point_by_point(spec, shift, grid):
+    return np.array([
+        probe_absorption(steady_state(liouvillian_for(spec, DetuningPoint(shift, d))), spec)
+        for d in grid
+    ])
+
+
+class TestSweepKernel:
+    def test_matches_single_point_solve_on_random_models(self, monkeypatch):
+        # Same tolerances as test_sweep_matches_single_point_solve_five_level.
+        rng = np.random.default_rng(8)
+        grid = np.linspace(-1e8, 1e8, 21)
+        fallbacks = []
+        point_row = _SweepKernel._point_row
+        monkeypatch.setattr(
+            _SweepKernel, "_point_row",
+            lambda self, d, t: fallbacks.append(d) or point_row(self, d, t),
+        )
+        sizes = set()
+        for _ in range(30):
+            spec = random_model(rng)
+            sizes.add(len(_SweepKernel(spec).tp_idx))
+            peak = np.abs(point_by_point(spec, 0.0, grid)).max()
+            for shift in (0.0, 1e11, -1e11):
+                swept = homogeneous_spectrum(spec, shift, grid).absorbance
+                single = point_by_point(spec, shift, grid)
+                assert np.abs(swept - single).max() <= 1e-12 * peak
+                assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
+        assert len(sizes) >= 3  # |P| = 2 (n - 1) varies with the level count
+        assert fallbacks == []  # every shift went through the resolvent
+
+    @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
+    def test_failed_shift_is_solved_point_by_point(self, lambda_spec, monkeypatch, poison):
+        grid = np.linspace(-1e7, 1e7, 21)
+        shifts = np.array([-3e7, 0.0, 5e7])
+        kernel = _SweepKernel(lambda_spec)
+        clean = kernel.absorbance(shifts, grid)
+        resolvent = _SweepKernel._resolvent
+
+        def poisoned(self, a):
+            if poison == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            ainv, gw, winv, lam, cond = resolvent(self, a)
+            if poison == "residual":
+                ainv[1] = np.nan
+            else:
+                cond[1] = np.inf
+            return ainv, gw, winv, lam, cond
+
+        monkeypatch.setattr(_SweepKernel, "_resolvent", poisoned)
+        rows = kernel.absorbance(shifts, grid)
+        redone = range(3) if poison == "singular" else [1]
+        for k in range(3):
+            if k in redone:
+                assert np.array_equal(rows[k], point_by_point(lambda_spec, shifts[k], grid))
+            else:
+                assert np.array_equal(rows[k], clean[k])
+
+    def test_memory_of_one_chunk(self):
+        # One 16-shift chunk of the fig5 sweep.  A batched LU of every point
+        # fills a (16, 226, 25, 25) array, about 37 MB.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        kernel = _SweepKernel(spec)
+        grid = np.linspace(-2e7, 2.5e7, 226)
+        shifts = np.linspace(-3e11, 3e11, 16)
+        kernel.absorbance(shifts, grid)
+        tracemalloc.start()
+        try:
+            kernel.absorbance(shifts, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_worker_counts_bit_identical(self):
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        grid = np.linspace(-2e7, 2.5e7, 46)
+        inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=101)
+        ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
+        for workers in (2, 4, 8):
+            other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
+            assert np.array_equal(ref, other)
 
 
 class TestInhomogeneous:
