@@ -1,8 +1,8 @@
 """Command-line front end: steady-state spectra, magneto maps, threshold
 checks, and spectrum fits driven by JSON config files.
 
-Exit codes: 0 success, 2 config validation failure, 3 engine failure,
-4 fit did not converge (results still written).
+Exit codes: 0 success, 2 malformed config, model or trace file, 3 engine
+failure, 4 fit did not converge (results still written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets
-from .fitting import FitProblem, FreeParameter, ObservedTrace, fit, identifiability_report
+from .fitting import (FitProblem, FreeParameter, ObservedTrace, apply_parameter, fit,
+                      identifiability_report)
 from .model import validate_system
 from .modelio import (
     ModelFormatError,
@@ -30,6 +31,7 @@ from .modelio import (
 )
 from .spectra import (
     InhomogeneitySpec,
+    _spin_index,
     eit_threshold,
     homogeneous_spectrum,
     inhomogeneous_spectrum,
@@ -43,29 +45,51 @@ EXIT_NONCONVERGED = 4
 
 
 class ConfigError(ValueError):
-    pass
+    """Malformed config file or value."""
 
 
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}")
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"config file {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path}: top level must be an object")
+    return cfg
+
+
+def _number(block, key, where, default=None, low=-np.inf, above=False) -> float:
+    """block[key] as a finite float >= low (> low if above), or default if the
+    key is missing; where is block's dotted path in the config, "" at top level."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: must be an object, got {type(block).__name__}")
+    name = f"{where}.{key}" if where else key
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f"{name}: missing or null")
+    try:
+        x = np.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if not (np.isfinite(x) and (x > low if above else x >= low)):
+        bound = f" {'>' if above else '>='} {low:g}" if low > -np.inf else ""
+        raise ConfigError(f"{name}: must be a finite number{bound}, got {value!r}")
+    return x
+
+
+def _list(cfg: dict, key: str) -> list:
+    value = cfg.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: must be a list, got {type(value).__name__}")
+    return value
 
 
 def _model_from_config(cfg: dict, base: Path):
     """The config's model, loaded and validated; every violation becomes one
     line of the ConfigError."""
-    if "model" not in cfg:
-        raise ConfigError("config missing 'model'")
-    model = cfg["model"]
-    try:
-        spec = load_model(base / model) if isinstance(model, str) else spec_from_dict(model)
-    except (ModelFormatError, FileNotFoundError) as exc:
-        raise ConfigError(str(exc))
+    model = cfg.get("model")
+    spec = load_model(base / model) if isinstance(model, str) else spec_from_dict(model)
     report = validate_system(spec)
     if not report.ok:
         raise ConfigError("\n".join(f"model: {line}" for line in report.violations))
@@ -74,31 +98,21 @@ def _model_from_config(cfg: dict, base: Path):
 
 def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
     g = cfg.get("delta_grid")
-    if not isinstance(g, dict):
-        raise ConfigError("config missing 'delta_grid' block")
-    try:
-        n = int(g["points"])
-        start, stop = float(g["start"]), float(g["stop"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"delta_grid: {exc}")
-    if n < 1 or not stop > start or not np.isfinite([start, stop]).all():
-        raise ConfigError("delta_grid must be non-empty and finite with stop > start")
+    start = _number(g, "start", "delta_grid")
+    stop = _number(g, "stop", "delta_grid", low=start, above=True)
+    n = int(_number(g, "points", "delta_grid", low=1))
     return np.linspace(start * scale, stop * scale, n)
 
 
 def _inhom_from_config(cfg: dict, scale: float) -> InhomogeneitySpec:
     """The ensemble block; keys it leaves out take InhomogeneitySpec's defaults."""
     block = cfg.get("inhomogeneity")
-    if block is None:
-        raise ConfigError("config missing 'inhomogeneity' block")
+    fwhm = _number(block, "fwhm", "inhomogeneity")
+    n = _number(block, "n_samples", "inhomogeneity", InhomogeneitySpec.n_samples)
+    cut = _number(block, "truncation", "inhomogeneity", InhomogeneitySpec.truncation)
     try:
-        given = {}
-        if "n_samples" in block:
-            given["n_samples"] = int(block["n_samples"])
-        if "truncation" in block:
-            given["truncation"] = float(block["truncation"])
-        return InhomogeneitySpec(fwhm=float(block["fwhm"]) * scale, **given)
-    except (KeyError, TypeError, ValueError) as exc:
+        return InhomogeneitySpec(fwhm=fwhm * scale, n_samples=int(n), truncation=cut)
+    except ValueError as exc:
         raise ConfigError(f"inhomogeneity: {exc}")
 
 
@@ -109,12 +123,7 @@ def _simulation_from_config(cfg: dict, base: Path):
     grid = _grid_from_config(cfg, scale)
     mode = cfg.get("mode", "inhomogeneous")
     if mode == "homogeneous":
-        try:
-            shift = float(cfg.get("control_detuning", 0.0)) * scale
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"control_detuning: {exc}")
-        if not np.isfinite(shift):
-            raise ConfigError("control_detuning must be finite")
+        shift = _number(cfg, "control_detuning", "", default=0.0) * scale
     elif mode == "inhomogeneous":
         shift = _inhom_from_config(cfg, scale)
     else:
@@ -170,20 +179,19 @@ def cmd_map(args) -> int:
     base = Path(args.config).parent
     scale = unit_scale(cfg.get("units", "Hz"))
     template = _model_from_config(cfg, base)
+    try:
+        for lv in template.levels:
+            _spin_index(lv.label)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}")
     spin = cfg.get("spin")
     if not isinstance(spin, dict) or "ground" not in spin or "excited" not in spin:
         raise ConfigError("map config needs a 'spin' block with ground and excited")
-    try:
-        ground = spin_from_dict(spin["ground"], cfg.get("units", "Hz"))
-        excited = spin_from_dict(spin["excited"], cfg.get("units", "Hz"))
-    except ModelFormatError as exc:
-        raise ConfigError(str(exc))
-    try:
-        b_values = np.asarray(cfg.get("b_values_mT", []), dtype=float) * 1e-3
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"b_values_mT: {exc}")
-    if b_values.ndim != 1 or not (np.isfinite(b_values) & (b_values >= 0)).all():
-        raise ConfigError("b_values_mT: fields must be finite and >= 0, in one list")
+    ground = spin_from_dict(spin["ground"], cfg.get("units", "Hz"))
+    excited = spin_from_dict(spin["excited"], cfg.get("units", "Hz"))
+    # each field is read as the lone key of a block, so errors start "b_values_mT: "
+    b_values = np.array([_number({"b_values_mT": b}, "b_values_mT", "", low=0.0)
+                         for b in _list(cfg, "b_values_mT")]) * 1e-3
     grid = _grid_from_config(cfg, scale)
     inhom = _inhom_from_config(cfg, scale)
     out = Path(args.out)
@@ -203,39 +211,32 @@ def cmd_fit(args) -> int:
     template = _model_from_config(cfg, base)
     inhom = _inhom_from_config(cfg, scale)
     traces = []
-    for block in cfg.get("traces", []):
+    for k, block in enumerate(_list(cfg, "traces")):
+        where = f"traces[{k}]"
         try:
             delta, signal, sigma = read_trace_csv(base / block["csv"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"traces: {exc}")
-        except ModelFormatError as exc:
-            raise ConfigError(str(exc))
-        power = block.get("power_mw")
-        traces.append(
-            ObservedTrace(
-                delta_grid=delta,
-                signal=signal,
-                sigma=sigma,
-                power=None if power is None else float(power) * 1e-3,
-                temperature=block.get("temperature_k"),
-            )
-        )
+        except (KeyError, TypeError, OSError) as exc:
+            raise ConfigError(f"{where}.csv: missing or unreadable: {exc}")
+        power, temperature = (_number(block, key, where, low=0.0, above=True)
+                              if key in block else None for key in ("power_mw", "temperature_k"))
+        power = None if power is None else power * 1e-3
+        traces.append(ObservedTrace(delta, signal, sigma, power, temperature))
     if not traces:
         raise ConfigError("fit config lists no traces")
     params = []
-    for block in cfg.get("parameters", []):
+    for k, block in enumerate(_list(cfg, "parameters")):
+        where = f"parameters[{k}]"
+        initial, lower, upper = (_number(block, key, where) * scale
+                                 for key in ("initial", "lower", "upper"))
+        name = block.get("name")
         try:
-            params.append(
-                FreeParameter(
-                    name=block["name"],
-                    initial=float(block["initial"]) * scale,
-                    lower=float(block["lower"]) * scale,
-                    upper=float(block["upper"]) * scale,
-                    per_trace=bool(block.get("per_trace", False)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"parameters: {exc}")
+            apply_parameter(template, name, initial)
+            params.append(FreeParameter(name, initial, lower, upper,
+                                        per_trace=bool(block.get("per_trace", False))))
+        except (AttributeError, KeyError):
+            raise ConfigError(f"{where}.name: {name!r} is not a parameter of the model")
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}")
     if not params:
         raise ConfigError("fit config lists no free parameters")
     problem = FitProblem(
@@ -243,7 +244,7 @@ def cmd_fit(args) -> int:
         inhom=inhom,
         parameters=tuple(params),
         rabi_power_scaling=bool(cfg.get("rabi_power_scaling", False)),
-        power_ref=float(cfg.get("power_ref_mw", 1.0)) * 1e-3,
+        power_ref=_number(cfg, "power_ref_mw", "", 1.0, low=0.0, above=True) * 1e-3,
         workers=args.workers,
     )
     ident = identifiability_report(problem, traces)
@@ -283,27 +284,20 @@ def cmd_fit(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     scale = unit_scale(cfg.get("units", "Hz"))
-    try:
-        omega_c = float(cfg["omega_c"]) * scale
-        delta_i = float(cfg["delta_i"]) * scale
-        gamma_g = float(cfg["gamma_g"]) * scale
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"check config: {exc}")
+    omega_c, delta_i, gamma_g = (_number(cfg, key, "", low=0.0) * scale
+                                 for key in ("omega_c", "delta_i", "gamma_g"))
+    calib = cfg.get("calibration")
+    if calib is not None:
+        omega_ref = _number(calib, "omega_ref", "calibration", low=0.0, above=True) * scale
+        power_ref = _number(calib, "power_ref_mw", "calibration", 1.0,
+                            low=0.0, above=True) * 1e-3
     report = eit_threshold(omega_c, delta_i, gamma_g)
     if gamma_g == 0.0 or delta_i == 0.0:
         print("threshold 0; any power suffices")
     print(f"minimum control rabi: {report.min_omega_c:.6g} Hz")
     print(f"margin: {report.margin:.6g}")
     print(f"satisfied: {'yes' if report.satisfied else 'no'}")
-    calib = cfg.get("calibration")
-    if calib and report.min_omega_c > 0:
-        try:
-            omega_ref = float(calib["omega_ref"]) * scale
-            power_ref = float(calib.get("power_ref_mw", 1.0)) * 1e-3
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"calibration: {exc}")
-        if not (0.0 < omega_ref < np.inf and 0.0 < power_ref < np.inf):
-            raise ConfigError("calibration: omega_ref and power_ref_mw must be finite and > 0")
+    if calib is not None and report.min_omega_c > 0:
         required = power_from_rabi(report.min_omega_c, omega_ref, power_ref)
         print(f"required control power: {required * 1e3:.6g} mW")
     return 0
@@ -417,7 +411,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ModelFormatError) as exc:  # malformed input
         for line in str(exc).splitlines():
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_CONFIG

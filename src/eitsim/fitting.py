@@ -168,7 +168,9 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
         )
 
     if name.startswith("decay:"):
-        src, tgt = name.split(":", 1)[1].split("->")
+        src, _, tgt = name.split(":", 1)[1].partition("->")
+        if not any((ch.source, ch.target) == (src, tgt) for ch in spec.decays):
+            raise KeyError(f"fit parameter {name!r}: no such decay channel")
         decays = tuple(
             replace(ch, rate=value) if (ch.source, ch.target) == (src, tgt) else ch
             for ch in spec.decays
@@ -177,6 +179,7 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
 
     if name.startswith("dephasing:"):
         lbl = name.split(":", 1)[1]
+        spec.index(lbl)  # KeyError on unknown label
         if any(dp.level == lbl for dp in spec.dephasings):
             deph = tuple(
                 replace(dp, rate=value) if dp.level == lbl else dp

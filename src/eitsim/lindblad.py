@@ -24,6 +24,8 @@ from .model import (
 )
 
 TWO_PI = 2.0 * np.pi
+# LU solutions whose residual exceeds this share of max|L| go to the SVD path.
+_RESIDUAL_TOL = 1e-10
 
 
 class DegenerateSteadyState(RuntimeError):
@@ -138,7 +140,7 @@ def _bordered_system(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def steady_state(liouv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
+def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace null vector of the generator.
 
     Solves the bordered linear system (one generator row replaced by the
@@ -154,7 +156,7 @@ def steady_state(liouv: Liouvillian, residual_tol: float = 1e-10) -> np.ndarray:
     try:
         cand = scipy.linalg.solve(a, b)
         resid = np.abs(mat @ cand).max()
-        if resid < residual_tol * scale:
+        if resid < _RESIDUAL_TOL * scale:
             vec = cand
     except scipy.linalg.LinAlgError:
         pass

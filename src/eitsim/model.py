@@ -204,6 +204,21 @@ def validate_system(spec: LevelSystemSpec) -> ValidationReport:
         if dp.rate < 0:
             v.append(f"dephasing on {dp.level!r}: negative rate")
 
+    # Couplings and nonzero-rate decays join two levels (the dissipator skips
+    # zero rates); a level outside the largest joined group has its own
+    # steady state, so the model's is not unique.
+    group = {lbl: {lbl} for lbl in labels}
+    links = [(c.ground, c.excited) for d in spec.drives for c in d.couplings]
+    links += [(ch.source, ch.target) for ch in spec.decays if ch.rate != 0.0]
+    for a, b in links:
+        if a in group and b in group and group[a] is not group[b]:
+            joined = group[a] | group[b]
+            group.update(dict.fromkeys(joined, joined))
+    largest = max(group.values(), key=len, default=set())
+    loose = [lbl for lbl in labels if lbl not in largest]
+    if loose:
+        v.append(f"levels not joined to the rest by a coupling or decay: {', '.join(loose)}")
+
     try:
         assign_rotating_frame(spec)
     except NoConsistentFrame as exc:

@@ -30,15 +30,15 @@ class ModelFormatError(ValueError):
 
 
 def unit_scale(units) -> float:
-    if units not in UNIT_SCALES:
-        raise ModelFormatError(
-            f"units must be one of {sorted(UNIT_SCALES)}, got {units!r}"
-        )
+    if not isinstance(units, str) or units not in UNIT_SCALES:
+        raise ModelFormatError(f"units must be one of {sorted(UNIT_SCALES)}, got {units!r}")
     return UNIT_SCALES[units]
 
 
 def spec_from_dict(doc: dict) -> LevelSystemSpec:
     """Build a LevelSystemSpec from its JSON document form."""
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"model document must be an object, got {type(doc).__name__}")
     try:
         scale = unit_scale(doc.get("units"))
         levels = tuple(
@@ -63,7 +63,7 @@ def spec_from_dict(doc: dict) -> LevelSystemSpec:
             Dephasing(d["level"], float(d["rate"]) * scale)
             for d in doc.get("dephasings", [])
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return LevelSystemSpec(levels, drives, decays, dephasings)
 
@@ -97,8 +97,12 @@ def spec_to_dict(spec: LevelSystemSpec, units: str = "Hz") -> dict:
 
 
 def load_model(path) -> LevelSystemSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    return spec_from_dict(doc)
 
 
 def save_model(path, spec: LevelSystemSpec, units: str = "Hz") -> None:
@@ -165,6 +169,8 @@ def read_trace_csv(path):
                     sigma.append(float(row[2]))
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: row {k}: {exc}") from exc
+    if np.any(np.diff(delta) <= 0):
+        raise ModelFormatError(f"{path}: delta_hz must be strictly increasing")
     return (
         np.array(delta),
         np.array(signal),

@@ -425,6 +425,13 @@ def default_delta_grid(spec: LevelSystemSpec, n_points: int = 201) -> np.ndarray
     return np.linspace(-6.0 * width, 6.0 * width, n_points)
 
 
+def _spin_index(label: str) -> int:
+    """Eigenvalue index of a magneto-map level: g<k>/e<k> takes the k-th lowest."""
+    if label[1:] not in ("1", "2", "3"):
+        raise ValueError(f"level {label!r}: a magneto map needs labels g1..g3 and e1..e3")
+    return int(label[1:]) - 1
+
+
 def magneto_map(
     template: LevelSystemSpec,
     ground_model,
@@ -453,7 +460,7 @@ def magneto_map(
         )
         levels = []
         for lv in template.levels:
-            k = int(lv.label[1:]) - 1
+            k = _spin_index(lv.label)
             energy = ts.ground[k] if lv.manifold == "ground" else ts.excited[k]
             levels.append(replace(lv, energy=energy))
         spec_b = template.with_levels(levels)

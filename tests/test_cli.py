@@ -126,14 +126,21 @@ class TestSimulate:
             assert "control" in err[0] and "rate" in err[1]
 
     def test_engine_failure_exit_code(self, tmp_path, capsys):
-        # disconnected extra ground level: singular steady-state system
+        # a disconnected extra ground level fails validation
         doc = spec_to_dict(presets.three_level_lambda(), "MHz")
         doc["levels"].append({"label": "g9", "manifold": "ground", "energy": 5.0})
         model = tmp_path / "degenerate.json"
         write_json(model, doc)
         cfg = simulate_config(tmp_path, model)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model: ") and "g9" in err, err
+        # connected but without dissipation: a valid model, singular steady state
+        doc = spec_to_dict(presets.three_level_lambda(), "MHz")
+        doc["decays"], doc["dephasings"] = [], []
+        write_json(model, doc)
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "engine error: null space dimension 2" in capsys.readouterr().err
+        assert "engine error: null space dimension 3" in capsys.readouterr().err
 
     def test_unknown_preset(self, tmp_path):
         assert cli.main(
@@ -392,3 +399,116 @@ class TestFit:
         doc["parameters"] = []
         cfg = write_json(tmp_path / "fit3.json", doc)
         assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def reader_configs(tmp_path):
+    """One valid config per command, and the files they name."""
+    save_model(tmp_path / "lambda.json", presets.three_level_lambda(), units="MHz")
+    save_model(tmp_path / "five.json", presets.five_level_double_eit(5e6, 3e6), units="MHz")
+    (tmp_path / "bad.json").write_text("{\n")
+    (tmp_path / "obs.csv").write_text("delta_hz,signal\n-1e7,1.0\n0.0,0.5\n1e7,1.0\n")
+    grid = {"start": -20.0, "stop": 20.0, "points": 41}
+    inhom = {"fwhm": 2000.0, "n_samples": 3, "truncation": 4.0}
+    return {
+        "homogeneous": {
+            "units": "MHz", "model": "lambda.json", "mode": "homogeneous",
+            "control_detuning": 0.0, "delta_grid": grid, "output_prefix": "trace",
+        },
+        "inhomogeneous": {
+            "units": "MHz", "model": "lambda.json", "mode": "inhomogeneous",
+            "delta_grid": grid, "inhomogeneity": inhom, "output_prefix": "trace",
+        },
+        "map": {
+            "units": "MHz", "model": "five.json", "delta_grid": grid, "inhomogeneity": inhom,
+            "spin": {"ground": {"D": 20.0}, "excited": {"D": 10.0}}, "b_values_mT": [0.1],
+        },
+        "fit": {
+            "units": "MHz", "model": "lambda.json", "inhomogeneity": inhom,
+            "traces": [{"csv": "obs.csv", "power_mw": 1.0}], "power_ref_mw": 1.0,
+            "parameters": [{"name": "gamma_e", "initial": 7.0, "lower": 1.0, "upper": 30.0}],
+        },
+        "check": {
+            "units": "MHz", "omega_c": 180.0, "delta_i": 140e3, "gamma_g": 0.23,
+            "calibration": {"omega_ref": 7.4, "power_ref_mw": 1.0},
+        },
+    }
+
+
+def paths(doc, prefix=()):
+    """Every key path of a config: blocks, their keys and list items."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def relabeled(model_doc, old, new):
+    return json.loads(json.dumps(model_doc).replace(f'"{old}"', f'"{new}"'))
+
+
+LAMBDA_DOC = spec_to_dict(presets.three_level_lambda(), "MHz")
+FIVE_DOC = spec_to_dict(presets.five_level_double_eit(5e6, 3e6), "MHz")
+COMMAND = {"homogeneous": "simulate", "inhomogeneous": "simulate"}
+BAD_VALUES = ["x", [1.0], {}, None, float("nan"), float("inf"), float("-inf"), -1, 0, True]
+
+
+class TestConfigReader:
+    def run(self, tmp_path, kind, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        command = COMMAND.get(kind, kind)
+        argv = [command, "--config", cfg] + (["--out", str(tmp_path / "out")]
+                                              if command != "check" else [])
+        return cfg, cli.main(argv)
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+    @pytest.mark.parametrize("kind", ["homogeneous", "inhomogeneous", "check", "map", "fit"])
+    def test_any_bad_value_is_config_error_or_accepted(self, tmp_path, capsys, kind, value):
+        # every key of a valid config, replaced in turn: the run either
+        # accepts the value or rejects it as a config error, never exit 3
+        base = reader_configs(tmp_path)[kind]
+        for path in paths(base):
+            _, code = self.run(tmp_path, kind, replaced(base, path, value))
+            err = capsys.readouterr().err
+            assert code in (0, 2), (path, code, err)
+            assert code == 0 or err.startswith("config error: "), (path, err)
+
+    @pytest.mark.parametrize("kind, path, value, prefix", [
+        *[(kind, ("units",), "furlongs", "units") for kind in
+          ("homogeneous", "map", "fit", "check")],
+        ("homogeneous", (), [1, 2], "config file {cfg}: top level must be an object"),
+        ("homogeneous", ("model",), 5, "model document must be an object, got int"),
+        ("homogeneous", ("model",), None, "model document must be an object, got NoneType"),
+        ("homogeneous", ("model",), replaced(LAMBDA_DOC, ("levels", 0, "energy"), "x"),
+         "malformed model document: could not convert"),
+        ("homogeneous", ("model",), "bad.json", "model file "),
+        ("fit", ("traces", 0, "power_mw"), "x", "traces[0].power_mw: "),
+        ("fit", ("traces", 0, "power_mw"), -1, "traces[0].power_mw: "),
+        ("fit", ("power_ref_mw",), "x", "power_ref_mw: "),
+        ("fit", ("traces", 0, "csv"), "missing.csv", "traces[0].csv: "),
+        ("fit", ("parameters", 0, "name"), "nope", "parameters[0].name: "),
+        ("fit", ("parameters", 0, "name"), "decay:e2->g9", "parameters[0].name: "),
+        ("fit", ("parameters", 0, "name"), "decay:foo", "parameters[0].name: "),
+        ("check", ("omega_c",), -1, "omega_c: "),
+        ("check", ("delta_i",), -1, "delta_i: "),
+        ("check", ("gamma_g",), -1, "gamma_g: "),
+        ("map", ("model",), relabeled(FIVE_DOC, "g3", "g0"), "model: level 'g0'"),
+        ("map", ("model",), relabeled(FIVE_DOC, "g3", "g4"), "model: level 'g4'"),
+    ])
+    def test_malformed_input_names_its_key(self, tmp_path, capsys, kind, path, value, prefix):
+        doc = replaced(reader_configs(tmp_path)[kind], path, value)
+        cfg, code = self.run(tmp_path, kind, doc)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: " + prefix.format(cfg=cfg)), err

@@ -79,6 +79,10 @@ class TestApplyParameter:
             apply_parameter(lambda_spec, "gamma_q", 1.0)
         with pytest.raises(KeyError):
             apply_parameter(lambda_spec, "energy:nope", 1.0)
+        # a targeted path must name something the model has
+        for name in ("decay:e2->g9", "decay:foo", "dephasing:nope"):
+            with pytest.raises(KeyError, match=name.split(":")[1]):
+                apply_parameter(lambda_spec, name, 1.0)
 
 
 class TestFreeParameter:

@@ -78,6 +78,17 @@ class TestValidation:
         report = validate_system(bad)
         assert any("unknown level" in v for v in report.violations)
 
+    def test_disconnected_level(self):
+        spec = minimal_lambda()
+        extra = spec.with_levels(list(spec.levels) + [Level("g9", "ground", 0.0)])
+        # a zero-rate decay drops out of the dissipator, so it joins nothing
+        for decays in ((), (DecayChannel("e2", "g9", 0.0),)):
+            report = validate_system(replace(extra, decays=decays))
+            assert [v for v in report.violations if "g9" in v] == [
+                "levels not joined to the rest by a coupling or decay: g9"
+            ]
+        assert validate_system(replace(extra, decays=(DecayChannel("e2", "g9", 1e6),))).ok
+
     def test_no_ground_level(self):
         bad = LevelSystemSpec(
             levels=(Level("e1", "excited"), Level("e2", "excited")),

@@ -109,6 +109,12 @@ class TestTraceCsv:
         with pytest.raises(ModelFormatError, match="row 2"):
             read_trace_csv(path)
 
+    def test_detuning_must_increase(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("delta_hz,signal\n1.0,1.0\n0.0,2.0\n")
+        with pytest.raises(ModelFormatError, match="strictly increasing"):
+            read_trace_csv(path)
+
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -407,6 +407,17 @@ class TestMagnetoMap:
         direct = inhomogeneous_spectrum(template.with_levels(levels), inhom, grid)
         assert np.array_equal(mp.absorbance[0], direct.absorbance)
 
+    @pytest.mark.parametrize("label", ["g0", "g4"])
+    def test_label_outside_g1_g3_rejected(self, label):
+        # g0 would read index -1 (g3's energy), g4 index 3 (past the end)
+        template = presets.five_level_double_eit(delta_k=5e6, delta_54=3e6)
+        renamed = template.with_levels(
+            replace(lv, label=label) if lv.label == "g3" else lv for lv in template.levels
+        )
+        with pytest.raises(ValueError, match=label):
+            magneto_map(renamed, self.GROUND, self.EXCITED, [1e-4],
+                        np.linspace(-1e7, 1e7, 5), InhomogeneitySpec(fwhm=1e9, n_samples=3))
+
     def test_secondary_dip_tracks_spin_splitting(self):
         # the g1-g3 dark resonance sits at delta = Delta_k - Delta_54
         # = E(g2) - E(g3) of the spin model, whatever B does to the levels
