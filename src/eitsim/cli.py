@@ -59,9 +59,10 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _number(block, key, where, default=None, low=-np.inf, above=False) -> float:
-    """block[key] as a finite float >= low (> low if above), or default if the
-    key is missing; where is block's dotted path in the config, "" at top level."""
+def _number(block, key, where, default=None, low=-np.inf, above=False, scale=1.0) -> float:
+    """block[key] (or default if the key is missing) times scale, as a float
+    that is finite and >= low (> low if above) once scaled; where is block's
+    dotted path in the config, "" at top level."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: must be an object, got {type(block).__name__}")
     name = f"{where}.{key}" if where else key
@@ -69,12 +70,14 @@ def _number(block, key, where, default=None, low=-np.inf, above=False) -> float:
     if value is None:
         raise ConfigError(f"{name}: missing or null")
     try:
-        x = np.nan if isinstance(value, bool) else float(value)
+        raw = np.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        x = np.nan
+        raw = np.nan
+    x = raw * scale
     if not (np.isfinite(x) and (x > low if above else x >= low)):
-        bound = f" {'>' if above else '>='} {low:g}" if low > -np.inf else ""
-        raise ConfigError(f"{name}: must be a finite number{bound}, got {value!r}")
+        bound = f" {'>' if above else '>='} {low / scale:g}" if low > -np.inf else ""
+        hint = " (overflows once scaled to Hz)" if np.isfinite(raw) and np.isinf(x) else ""
+        raise ConfigError(f"{name}: must be a finite number{bound}, got {value!r}{hint}")
     return x
 
 
@@ -98,20 +101,20 @@ def _model_from_config(cfg: dict, base: Path):
 
 def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
     g = cfg.get("delta_grid")
-    start = _number(g, "start", "delta_grid")
-    stop = _number(g, "stop", "delta_grid", low=start, above=True)
+    start = _number(g, "start", "delta_grid", scale=scale)
+    stop = _number(g, "stop", "delta_grid", low=start, above=True, scale=scale)
     n = int(_number(g, "points", "delta_grid", low=1))
-    return np.linspace(start * scale, stop * scale, n)
+    return np.linspace(start, stop, n)
 
 
 def _inhom_from_config(cfg: dict, scale: float) -> InhomogeneitySpec:
     """The ensemble block; keys it leaves out take InhomogeneitySpec's defaults."""
     block = cfg.get("inhomogeneity")
-    fwhm = _number(block, "fwhm", "inhomogeneity")
+    fwhm = _number(block, "fwhm", "inhomogeneity", scale=scale)
     n = _number(block, "n_samples", "inhomogeneity", InhomogeneitySpec.n_samples)
     cut = _number(block, "truncation", "inhomogeneity", InhomogeneitySpec.truncation)
     try:
-        return InhomogeneitySpec(fwhm=fwhm * scale, n_samples=int(n), truncation=cut)
+        return InhomogeneitySpec(fwhm=fwhm, n_samples=int(n), truncation=cut)
     except ValueError as exc:
         raise ConfigError(f"inhomogeneity: {exc}")
 
@@ -123,12 +126,20 @@ def _simulation_from_config(cfg: dict, base: Path):
     grid = _grid_from_config(cfg, scale)
     mode = cfg.get("mode", "inhomogeneous")
     if mode == "homogeneous":
-        shift = _number(cfg, "control_detuning", "", default=0.0) * scale
+        shift = _number(cfg, "control_detuning", "", default=0.0, scale=scale)
     elif mode == "inhomogeneous":
         shift = _inhom_from_config(cfg, scale)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    return cfg.get("output_prefix", "trace"), spec, grid, shift
+    return _output_prefix(cfg, "trace"), spec, grid, shift
+
+
+def _output_prefix(cfg: dict, default: str) -> str:
+    """The stem of the file a simulate or map run writes."""
+    prefix = cfg.get("output_prefix", default)
+    if not isinstance(prefix, str) or not prefix:
+        raise ConfigError(f"output_prefix: must be a non-empty string, got {prefix!r}")
+    return prefix
 
 
 def _meta(doc: dict, args) -> dict:
@@ -194,11 +205,12 @@ def cmd_map(args) -> int:
                          for b in _list(cfg, "b_values_mT")]) * 1e-3
     grid = _grid_from_config(cfg, scale)
     inhom = _inhom_from_config(cfg, scale)
+    prefix = _output_prefix(cfg, "map")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     mmap = magneto_map(template, ground, excited, b_values, grid, inhom,
                        workers=args.workers)
-    path = out / f"{cfg.get('output_prefix', 'map')}.csv"
+    path = out / f"{prefix}.csv"
     write_map_csv(path, mmap, _meta(cfg, args))
     print(path)
     return 0
@@ -226,7 +238,7 @@ def cmd_fit(args) -> int:
     params = []
     for k, block in enumerate(_list(cfg, "parameters")):
         where = f"parameters[{k}]"
-        initial, lower, upper = (_number(block, key, where) * scale
+        initial, lower, upper = (_number(block, key, where, scale=scale)
                                  for key in ("initial", "lower", "upper"))
         name = block.get("name")
         try:
@@ -284,11 +296,12 @@ def cmd_fit(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     scale = unit_scale(cfg.get("units", "Hz"))
-    omega_c, delta_i, gamma_g = (_number(cfg, key, "", low=0.0) * scale
+    omega_c, delta_i, gamma_g = (_number(cfg, key, "", low=0.0, scale=scale)
                                  for key in ("omega_c", "delta_i", "gamma_g"))
     calib = cfg.get("calibration")
     if calib is not None:
-        omega_ref = _number(calib, "omega_ref", "calibration", low=0.0, above=True) * scale
+        omega_ref = _number(calib, "omega_ref", "calibration", low=0.0, above=True,
+                            scale=scale)
         power_ref = _number(calib, "power_ref_mw", "calibration", 1.0,
                             low=0.0, above=True) * 1e-3
     report = eit_threshold(omega_c, delta_i, gamma_g)

@@ -181,8 +181,9 @@ def validate_system(spec: LevelSystemSpec) -> ValidationReport:
                         f"{d.field_id} coupling ({c.ground}, {c.excited}) "
                         f"must be ground-excited"
                     )
-            if not c.rabi > 0:
-                v.append(f"{d.field_id} coupling ({c.ground}, {c.excited}): rabi must be > 0")
+            if not 0 < c.rabi < np.inf:
+                v.append(f"{d.field_id} coupling ({c.ground}, {c.excited}): "
+                         f"rabi must be finite and > 0")
 
     for ch in spec.decays:
         if ch.source not in manifolds or ch.target not in manifolds:
@@ -195,14 +196,14 @@ def validate_system(spec: LevelSystemSpec) -> ValidationReport:
                     f"decay ({ch.source} -> {ch.target}) must be excited->ground "
                     f"or ground->ground"
                 )
-        if ch.rate < 0:
-            v.append(f"decay ({ch.source} -> {ch.target}): negative rate")
+        if not 0 <= ch.rate < np.inf:
+            v.append(f"decay ({ch.source} -> {ch.target}): rate must be finite and >= 0")
 
     for dp in spec.dephasings:
         if dp.level not in manifolds:
             v.append(f"dephasing references unknown level {dp.level!r}")
-        if dp.rate < 0:
-            v.append(f"dephasing on {dp.level!r}: negative rate")
+        if not 0 <= dp.rate < np.inf:
+            v.append(f"dephasing on {dp.level!r}: rate must be finite and >= 0")
 
     # Couplings and nonzero-rate decays join two levels (the dissipator skips
     # zero rates); a level outside the largest joined group has its own

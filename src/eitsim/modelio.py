@@ -35,6 +35,14 @@ def unit_scale(units) -> float:
     return UNIT_SCALES[units]
 
 
+def _name(d: dict, key: str) -> str:
+    """d[key], which names a level, manifold or field and must be a string."""
+    value = d[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def spec_from_dict(doc: dict) -> LevelSystemSpec:
     """Build a LevelSystemSpec from its JSON document form."""
     if not isinstance(doc, dict):
@@ -42,25 +50,27 @@ def spec_from_dict(doc: dict) -> LevelSystemSpec:
     try:
         scale = unit_scale(doc.get("units"))
         levels = tuple(
-            Level(d["label"], d["manifold"], float(d.get("energy", 0.0)) * scale)
+            Level(_name(d, "label"), _name(d, "manifold"),
+                  float(d.get("energy", 0.0)) * scale)
             for d in doc["levels"]
         )
         drives = tuple(
             DriveField(
-                d["field_id"],
+                _name(d, "field_id"),
                 tuple(
-                    Coupling(c["ground"], c["excited"], float(c["rabi"]) * scale)
+                    Coupling(_name(c, "ground"), _name(c, "excited"),
+                             float(c["rabi"]) * scale)
                     for c in d["couplings"]
                 ),
             )
             for d in doc["drives"]
         )
         decays = tuple(
-            DecayChannel(d["from"], d["to"], float(d["rate"]) * scale)
+            DecayChannel(_name(d, "from"), _name(d, "to"), float(d["rate"]) * scale)
             for d in doc.get("decays", [])
         )
         dephasings = tuple(
-            Dephasing(d["level"], float(d["rate"]) * scale)
+            Dephasing(_name(d, "level"), float(d["rate"]) * scale)
             for d in doc.get("dephasings", [])
         )
     except (KeyError, TypeError, ValueError) as exc:

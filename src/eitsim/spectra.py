@@ -2,12 +2,15 @@
 magneto-spectroscopy maps, and the control-intensity threshold utilities.
 
 The steady-state sweep exploits the fact that the rotating-frame Hamiltonian
-is affine in the detuning point: the Liouvillian is precomputed once, each
-optical shift (control_detuning) moves its diagonal and is factorised once,
-and the two-photon detuning, a low-rank diagonal update, is then evaluated in
-closed form over the whole grid (see _SweepKernel).  Ensemble averaging uses
-a fixed-order weighted reduction, so results are bit-identical for any worker
-count.
+is affine in the detuning point: the Liouvillian is precomputed once, and the
+optical shift (control_detuning) and the two-photon detuning each move a few
+of its diagonal entries.  The sweep factorises the generator once per value
+of one of the two axes and evaluates the other, a low-rank diagonal update,
+in closed form over the whole grid.  It factorises per shift for homogeneous
+spectra and per two-photon point when an ensemble has enough shift samples
+to make that cheaper, by a cost read from the model's and the grid's sizes
+(see _SweepKernel).  Ensemble averaging uses a fixed-order weighted
+reduction, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from .model import (
 )
 from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
 
-_CHUNK = 16  # detuning samples per batched solve; fixed so chunking does not
+_CHUNK = 16  # shifts per batched solve (fewer points per chunk when factorising
+             # per two-photon point, see _sweep_rows); fixed so chunking does not
              # depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
-                   # one refinement step does not restore; such shifts are
+                   # one refinement step does not restore; such lines are
                    # solved point by point
 
 
@@ -153,21 +157,32 @@ class _SweepKernel:
     """Steady-state solver for a fixed model over (shift, two-photon) points.
 
     The bordered generator at shift d and two-photon detuning t is
-    B(d, t) = a0 + d*diag(diag_delta) + t*diag(diag_tp).  diag_tp is nonzero
-    only on the coherences P of the probe-driven ground levels, so along t
-    each B is a rank-|P| diagonal update of A_d = B(d, 0).  One LU of A_d
-    gives A_d^-1, so x0 = A_d^-1 e_0 and G = A_d^-1 E_P.  With D = diag_tp[P]
-    and the eigendecomposition diag(D) G[P] = W diag(lam) W^-1, the Woodbury
-    identity gives every point of the two-photon axis in closed form,
+    B(d, t) = a0 + d*diag(diag_delta) + t*diag(diag_tp): affine in both
+    detunings, each of which moves only a few diagonal entries.  diag_tp is
+    nonzero only on the coherences P of the probe-driven ground levels, and
+    diag_delta only on the optical coherences Q.  Either axis can therefore
+    be the one that is factorised.  Write B(u, v) = a0 + u*diag(U) +
+    v*diag(V) with S = nonzero(V); along v each B is a rank-|S| diagonal
+    update of A_u = B(u, 0).  One LU of A_u gives A_u^-1, so x0 = A_u^-1 e_0
+    and G = A_u^-1 E_S.  With D = V[S] and the eigendecomposition
+    diag(D) G[S] = W diag(lam) W^-1, the Woodbury identity gives every point
+    of the line in closed form,
 
-        x(d, t) = x0 - G W [t c_k / (1 + t lam_k)],   c = W^-1 (D * x0[P]),
+        x(u, v) = x0 - G W [v c_k / (1 + v lam_k)],   c = W^-1 (D * x0[S]),
 
-    so a shift costs one factorisation plus O(m |P|) per point; the lam_k
-    are the poles of the two-photon axis.  One step of iterative refinement
-    follows (it applies A_d^-1 to the residuals), and every point's residual
-    against its own B(d, t) is checked.  A shift that fails the check or has
-    an ill-conditioned W, and a chunk whose factorisation fails, is solved
-    point by point by steady_state.
+    so a line costs one factorisation plus O(m |S|) per point; the lam_k are
+    its poles.  One step of iterative refinement follows (it applies A_u^-1
+    to the residuals), and every point's residual against its own B(u, v) is
+    checked.  A line that fails the check or has an ill-conditioned W, and
+    every line of a call whose factorisation fails, is solved point by point
+    by steady_state.
+
+    The two orientations are per shift (u = d, v = t, S = P) and per
+    two-photon point (u = t, v = d, S = Q).  For m = len(a0), n_d shifts and
+    n_t two-photon points, a factorisation costs about m^3 and a point's pole
+    terms about m |S|; refinement and the residual check cost the same either
+    way.  per_delta picks the orientation with the lower
+    (factorisations) * m^2 + n_d * n_t * |S|, ties going per shift.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -181,63 +196,91 @@ class _SweepKernel:
         self.diag_delta = -1j * TWO_PI * (d_delta[i_idx] - d_delta[j_idx])
         self.diag_tp = -1j * TWO_PI * (d_tp[i_idx] - d_tp[j_idx])
         self.tp_idx = np.flatnonzero(self.diag_tp)
+        self.delta_idx = np.flatnonzero(self.diag_delta)
 
         # The detuning updates vanish on population components, so the trace
         # row of the bordered matrix is never touched by the diagonal shifts.
         self.a0, _ = _bordered_system(liouv.matrix, n)  # rhs e_0
         self.probe_idx, self.probe_idx_t, self.probe_w = _probe_readout(spec)
 
-    def _resolvent(self, a: np.ndarray):
-        """A_d^-1 and the pole form of each shift's two-photon axis: G W,
-        W^-1, lam and the 1-norm condition number of W, where
-        diag(D) G[P] = W diag(lam) W^-1."""
+    def per_delta(self, n_shifts: int, n_tp: int) -> bool:
+        """Whether one factorisation per two-photon point is cheaper than one
+        per shift for an n_shifts x n_tp grid (see the class docstring)."""
+        m2, points = len(self.a0) ** 2, n_shifts * n_tp
+        return (n_tp * m2 + points * len(self.delta_idx)
+                < n_shifts * m2 + points * len(self.tp_idx))
+
+    def _resolvent(self, a: np.ndarray, s: np.ndarray, d: np.ndarray):
+        """A_u^-1 and the pole form of each line: G W, W^-1, lam and the
+        1-norm condition number of W, where diag(d) G[s] = W diag(lam) W^-1."""
         eye = np.eye(a.shape[-1])
         ainv = np.linalg.solve(a, eye)
-        g = ainv[..., self.tp_idx]
-        lam, w = np.linalg.eig(self.diag_tp[self.tp_idx, None] * g[:, self.tp_idx, :])
-        winv = np.linalg.solve(w, eye[: len(self.tp_idx), : len(self.tp_idx)])
+        g = ainv[..., s]
+        lam, w = np.linalg.eig(d[:, None] * g[:, s, :])
+        winv = np.linalg.solve(w, eye[: len(s), : len(s)])
         cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
         return ainv, g @ w, winv, lam, cond
 
-    def _point_row(self, delta: float, two_photons: np.ndarray) -> np.ndarray:
-        """One shift's row by single-point solves; steady_state's SVD
-        fallback either finds the unique steady state or raises
-        DegenerateSteadyState."""
+    def _point_row(self, deltas, two_photons) -> np.ndarray:
+        """One line by single-point solves, over whichever argument is an
+        array; steady_state's SVD fallback either finds the unique steady
+        state or raises DegenerateSteadyState."""
         return np.array([
-            probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(delta, t))),
+            probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(d, t))),
                              self.spec)
-            for t in two_photons
+            for d, t in np.broadcast(deltas, two_photons)
         ])
 
-    def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray) -> np.ndarray:
-        """Absorbance on the grid deltas x two_photons, shape (nd, nt)."""
+    def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray,
+                   per_delta: bool | None = None) -> np.ndarray:
+        """Absorbance on the grid deltas x two_photons, shape (nd, nt),
+        factorised per two-photon point if per_delta, else per shift; None
+        picks the cheaper orientation for this grid."""
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
+        if per_delta is None:
+            per_delta = self.per_delta(len(deltas), len(two_photons))
+        if per_delta:
+            return self._lines(two_photons, deltas, True).T
+        return self._lines(deltas, two_photons, False)
+
+    def _lines(self, us: np.ndarray, vs: np.ndarray, per_delta: bool) -> np.ndarray:
+        """Absorbance of B(u, v) for u in us (factorised) and v in vs (closed
+        form), shape (len(us), len(vs))."""
+        if per_delta:
+            u_diag, v_diag, s = self.diag_tp, self.diag_delta, self.delta_idx
+        else:
+            u_diag, v_diag, s = self.diag_delta, self.diag_tp, self.tp_idx
+
+        def point_line(k):
+            return (self._point_row(vs, us[k]) if per_delta
+                    else self._point_row(us[k], vs))
+
         r = np.arange(len(self.a0))
-        a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
-        a[:, r, r] += deltas[:, None] * self.diag_delta
+        a = np.broadcast_to(self.a0, (len(us),) + self.a0.shape).copy()
+        a[:, r, r] += us[:, None] * u_diag
+        d = v_diag[s]
         try:
-            ainv, gw, winv, lam, cond = self._resolvent(a)
+            ainv, gw, winv, lam, cond = self._resolvent(a, s, d)
         except np.linalg.LinAlgError:
-            return np.array([self._point_row(d, two_photons) for d in deltas])
-        p, d = self.tp_idx, self.diag_tp[self.tp_idx]
-        t = two_photons[:, None]
-        poles = t / (1.0 + t * lam[:, None, :])  # (nd, nt, |P|)
-        t_diag = t * self.diag_tp  # (nt, m)
+            return np.array([point_line(k) for k in range(len(us))])
+        v = vs[:, None]
+        poles = v / (1.0 + v * lam[:, None, :])  # (nu, nv, |S|)
+        v_diag = v * v_diag  # (nv, m)
 
         def solve(y):
-            """B(d, t)^-1 b at every point, from y = A_d^-1 b."""
-            z = ((d * y[..., p]) @ winv.swapaxes(1, 2) * poles) @ gw.swapaxes(1, 2)
+            """B(u, v)^-1 b at every point, from y = A_u^-1 b."""
+            z = ((d * y[..., s]) @ winv.swapaxes(1, 2) * poles) @ gw.swapaxes(1, 2)
             return np.subtract(y, z, out=z)
 
         def residual(x):
-            """B(d, t) x - e_0 at every point."""
+            """B(u, v) x - e_0 at every point."""
             res = x @ a.swapaxes(1, 2)
-            res += t_diag * x
+            res += v_diag * x
             res[..., 0] -= 1.0
             return res
 
-        x = solve(ainv[:, None, :, 0])  # A_d^-1 e_0
+        x = solve(ainv[:, None, :, 0])  # A_u^-1 e_0
         # One step of iterative refinement: where the pole terms cancel, it
         # brings x back to the accuracy of a direct solve.
         x -= solve(residual(x) @ ainv.swapaxes(1, 2))
@@ -247,34 +290,43 @@ class _SweepKernel:
         ok &= cond <= _MAX_COND_W
         out = (x[..., self.probe_idx].imag - x[..., self.probe_idx_t].imag) @ self.probe_w
         for k in np.flatnonzero(~ok):
-            out[k] = self._point_row(deltas[k], two_photons)
+            out[k] = point_line(k)
         return out
 
 
 def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
                 workers: int) -> np.ndarray:
-    """Absorbance rows for each shift sample, chunked for batched solves.
+    """Absorbance rows for each shift sample, chunked along the factorised
+    axis.
 
-    Chunk boundaries are independent of the worker count, and rows are
-    written back by index, so the output is bit-identical for any number of
-    workers.
+    A chunk is _CHUNK shifts, or in the per-two-photon orientation
+    max(1, _CHUNK * len(tp_grid) // len(deltas)) two-photon points, so it
+    holds no more than _CHUNK * len(tp_grid) points either way, unless one
+    two-photon point alone has more shifts than that.  Chunk boundaries are
+    independent of the worker count, and results are written back by index,
+    so the output is bit-identical for any number of workers.
     """
     deltas = np.asarray(deltas, dtype=float)
-    chunks = [
-        (k, deltas[k : k + _CHUNK]) for k in range(0, len(deltas), _CHUNK)
-    ]
+    per_delta = kernel.per_delta(len(deltas), len(tp_grid))
+    if per_delta:
+        n, step = len(tp_grid), max(1, _CHUNK * len(tp_grid) // len(deltas))
+    else:
+        n, step = len(deltas), _CHUNK
     out = np.empty((len(deltas), len(tp_grid)))
 
-    def run(chunk):
-        k, d = chunk
-        out[k : k + len(d)] = kernel.absorbance(d, tp_grid)
+    def run(k):
+        if per_delta:
+            out[:, k : k + step] = kernel.absorbance(deltas, tp_grid[k : k + step], True)
+        else:
+            out[k : k + step] = kernel.absorbance(deltas[k : k + step], tp_grid, False)
 
+    chunks = range(0, n, step)
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, chunks))
     else:
-        for chunk in chunks:
-            run(chunk)
+        for k in chunks:
+            run(k)
     return out
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eitsim import presets
+
+# Property tests draw the same examples on every run, so a failure is
+# reproducible and the suite's time does not vary from run to run.
+settings.register_profile("deterministic", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

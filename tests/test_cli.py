@@ -461,6 +461,22 @@ def relabeled(model_doc, old, new):
 LAMBDA_DOC = spec_to_dict(presets.three_level_lambda(), "MHz")
 FIVE_DOC = spec_to_dict(presets.five_level_double_eit(5e6, 3e6), "MHz")
 COMMAND = {"homogeneous": "simulate", "inhomogeneous": "simulate"}
+OVERFLOWS = [
+    ("homogeneous", ("delta_grid", "start"), "delta_grid.start: "),
+    ("homogeneous", ("delta_grid", "stop"), "delta_grid.stop: "),
+    ("homogeneous", ("control_detuning",), "control_detuning: "),
+    ("inhomogeneous", ("inhomogeneity", "fwhm"), "inhomogeneity.fwhm: "),
+    ("fit", ("parameters", 0, "initial"), "parameters[0].initial: "),
+    ("fit", ("parameters", 0, "lower"), "parameters[0].lower: "),
+    ("fit", ("parameters", 0, "upper"), "parameters[0].upper: "),
+    ("check", ("calibration", "omega_ref"), "calibration.omega_ref: "),
+    ("check", ("omega_c",), "omega_c: "),
+    ("check", ("delta_i",), "delta_i: "),
+    ("check", ("gamma_g",), "gamma_g: "),
+    ("homogeneous", ("model", "drives", 0, "couplings", 0, "rabi"), "model: probe coupling"),
+    ("homogeneous", ("model", "decays", 0, "rate"), "model: decay"),
+    ("homogeneous", ("model", "dephasings", 0, "rate"), "model: dephasing"),
+]
 BAD_VALUES = ["x", [1.0], {}, None, float("nan"), float("inf"), float("-inf"), -1, 0, True]
 
 
@@ -512,3 +528,37 @@ class TestConfigReader:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("config error: " + prefix.format(cfg=cfg)), err
+
+    @pytest.mark.parametrize("value", [[1.0], None, "", 5, True, {}], ids=repr)
+    @pytest.mark.parametrize("kind", ["homogeneous", "inhomogeneous", "map"])
+    def test_bad_output_prefix_is_config_error(self, tmp_path, capsys, kind, value):
+        doc = replaced(reader_configs(tmp_path)[kind], ("output_prefix",), value)
+        _, code = self.run(tmp_path, kind, doc)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: output_prefix: "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_level_label_is_config_error(self, tmp_path, capsys):
+        model = replaced(LAMBDA_DOC, ("levels", 0, "label"), ["g1"])
+        doc = replaced(reader_configs(tmp_path)["homogeneous"], ("model",), model)
+        _, code = self.run(tmp_path, "homogeneous", doc)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: malformed model document: "), err
+        assert "label" in err
+
+    # Each value is finite as written but overflows once scaled from MHz to
+    # Hz (1e305 MHz = 1e311 Hz); the check must see the scaled value.
+    @pytest.mark.parametrize("kind, path, prefix", OVERFLOWS,
+                             ids=[f"{k}-{'.'.join(map(str, p))}" for k, p, _ in OVERFLOWS])
+    def test_value_that_overflows_once_scaled_is_config_error(self, tmp_path, capsys,
+                                                              kind, path, prefix):
+        doc = reader_configs(tmp_path)[kind]
+        if path[0] == "model":
+            doc = replaced(doc, ("model",), LAMBDA_DOC)
+        sign = -1 if path[-1] == "start" else 1
+        cfg, code = self.run(tmp_path, kind, replaced(doc, path, sign * 1e305))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("config error: " + prefix), err

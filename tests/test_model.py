@@ -8,6 +8,7 @@ from eitsim import presets
 from eitsim.model import (
     Coupling,
     DecayChannel,
+    Dephasing,
     DetuningPoint,
     DriveField,
     Level,
@@ -53,6 +54,22 @@ class TestValidation:
         report = validate_system(bad)
         assert not report.ok
         assert any("ground-excited" in v for v in report.violations)
+
+    def test_non_finite_rates_rejected(self, lambda_spec):
+        spec = lambda_spec
+        inf = float("inf")
+        probe = spec.drives[0]
+        bad_rabi = replace(spec, drives=(
+            DriveField(probe.field_id, (replace(probe.couplings[0], rabi=inf),)),
+            spec.drives[1],
+        ))
+        bad_decay = replace(spec, decays=(replace(spec.decays[0], rate=inf),) + spec.decays[1:])
+        bad_dephasing = replace(spec, dephasings=(Dephasing("g1", inf),))
+        for bad, text in ((bad_rabi, "rabi"), (bad_decay, "decay"),
+                          (bad_dephasing, "dephasing")):
+            report = validate_system(bad)
+            assert not report.ok
+            assert any(text in v and "finite" in v for v in report.violations), report
 
     def test_duplicate_labels(self):
         spec = minimal_lambda()

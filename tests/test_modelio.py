@@ -57,6 +57,21 @@ class TestModelDocuments:
         with pytest.raises(ModelFormatError):
             spec_from_dict({"units": "Hz", "levels": [{"label": "g1"}], "drives": []})
 
+    @pytest.mark.parametrize("path", [
+        ("levels", 0, "label"), ("levels", 0, "manifold"), ("drives", 0, "field_id"),
+        ("drives", 0, "couplings", 0, "ground"), ("drives", 0, "couplings", 0, "excited"),
+        ("decays", 0, "from"), ("decays", 0, "to"), ("dephasings", 0, "level"),
+    ], ids=lambda path: ".".join(map(str, path)))
+    @pytest.mark.parametrize("value", [["g1"], 3, None], ids=repr)
+    def test_names_must_be_strings(self, lambda_spec, path, value):
+        doc = spec_to_dict(lambda_spec, "MHz")
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ModelFormatError, match=path[-1]):
+            spec_from_dict(doc)
+
     def test_loaded_model_validates(self, lambda_spec):
         assert validate_system(spec_from_dict(spec_to_dict(lambda_spec))).ok
 

@@ -2,10 +2,12 @@
 magneto maps, and the dip metrics."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from eitsim import presets
 from eitsim.lindblad import build_liouvillian, liouvillian_for, steady_state
@@ -207,10 +209,10 @@ class TestSweepKernel:
         clean = kernel.absorbance(shifts, grid)
         resolvent = _SweepKernel._resolvent
 
-        def poisoned(self, a):
+        def poisoned(self, a, *axis):
             if poison == "singular":
                 raise np.linalg.LinAlgError("Singular matrix")
-            ainv, gw, winv, lam, cond = resolvent(self, a)
+            ainv, gw, winv, lam, cond = resolvent(self, a, *axis)
             if poison == "residual":
                 ainv[1] = np.nan
             else:
@@ -225,6 +227,112 @@ class TestSweepKernel:
                 assert np.array_equal(rows[k], point_by_point(lambda_spec, shifts[k], grid))
             else:
                 assert np.array_equal(rows[k], clean[k])
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           shifts=st.lists(st.floats(-1e11, 1e11), min_size=1, max_size=3),
+           per_delta=st.booleans())
+    def test_rows_match_single_point_solve_in_both_orientations(self, seed, shifts, per_delta):
+        # The tolerances of test_matches_single_point_solve_on_random_models.
+        spec = random_model(np.random.default_rng(seed))
+        grid = np.linspace(-1e8, 1e8, 21)
+        shifts = np.array([0.0] + shifts)
+        kernel = _SweepKernel(spec)
+        # No line may fall back: the rows must come from the pole form.
+        with mock.patch.object(_SweepKernel, "_point_row", side_effect=AssertionError):
+            rows = kernel.absorbance(shifts, grid, per_delta)
+        assert rows.shape == (len(shifts), len(grid))
+        single = np.array([point_by_point(spec, d, grid) for d in shifts])
+        peak = np.abs(single[0]).max()
+        assert np.abs(rows - single).max() <= 1e-12 * peak
+        assert (np.abs(rows - single).max(axis=1)
+                <= 1e-10 * np.abs(single).max(axis=1)).all()
+
+    @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
+    def test_failed_two_photon_point_is_solved_point_by_point(self, lambda_spec,
+                                                               monkeypatch, poison):
+        # Per two-photon point the factorised lines are the columns.
+        grid = np.array([-1e7, 2e6, 1e7])
+        shifts = np.linspace(-1e8, 1e8, 21)
+        kernel = _SweepKernel(lambda_spec)
+        clean = kernel.absorbance(shifts, grid, per_delta=True)
+        resolvent = _SweepKernel._resolvent
+
+        def poisoned(self, a, *axis):
+            if poison == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            ainv, gw, winv, lam, cond = resolvent(self, a, *axis)
+            if poison == "residual":
+                ainv[1] = np.nan
+            else:
+                cond[1] = np.inf
+            return ainv, gw, winv, lam, cond
+
+        monkeypatch.setattr(_SweepKernel, "_resolvent", poisoned)
+        cols = kernel.absorbance(shifts, grid, per_delta=True)
+        redone = range(3) if poison == "singular" else [1]
+        for k in range(3):
+            if k in redone:
+                single = [probe_absorption(steady_state(liouvillian_for(
+                    lambda_spec, DetuningPoint(d, grid[k]))), lambda_spec) for d in shifts]
+                assert np.array_equal(cols[:, k], single)
+            else:
+                assert np.array_equal(cols[:, k], clean[:, k])
+
+    def test_cost_rule_picks_the_cheaper_orientation(self):
+        lam = _SweepKernel(presets.three_level_lambda())
+        fig5 = _SweepKernel(presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6))
+        assert (len(lam.a0), len(lam.tp_idx), len(lam.delta_idx)) == (9, 4, 4)
+        assert (len(fig5.a0), len(fig5.tp_idx), len(fig5.delta_idx)) == (25, 8, 12)
+        # The Lambda power-series fit: 301 shifts x 41 points, 52.7k against
+        # 73.7k; the fig5 spectrum: 1001 shifts x 226 points, 2.86M against 2.44M.
+        assert lam.per_delta(301, 41)
+        assert not fig5.per_delta(1001, 226)
+        # One shift (a homogeneous spectrum) always goes per shift, and so
+        # does criterion 9's 801 x 201 sweep.
+        assert not lam.per_delta(1, 41) and not fig5.per_delta(1, 226)
+        assert not fig5.per_delta(801, 201)
+
+    def test_two_photon_chunks_match_shift_chunks(self, lambda_spec):
+        # 101 samples plus the dense tier: 301 shifts x 41 points, which
+        # _sweep_rows splits into chunks of max(1, 16 * 41 // 301) = 2
+        # two-photon points, no more points than a 16-shift chunk.
+        grid = np.linspace(-1e7, 1e7, 41)
+        shifts, weights = shift_samples(
+            InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=101),
+            homogeneous_linewidth(lambda_spec))
+        kernel = _SweepKernel(lambda_spec)
+        assert kernel.per_delta(len(shifts), len(grid))
+        ref = weights @ kernel.absorbance(shifts, grid, per_delta=False)
+        chunks = []
+        absorbance = _SweepKernel.absorbance
+
+        def recorded(self, d, t, per_delta=None):
+            chunks.append((len(d), len(t), per_delta))
+            return absorbance(self, d, t, per_delta)
+
+        with mock.patch.object(_SweepKernel, "absorbance", recorded):
+            tr = inhomogeneous_spectrum(lambda_spec, InhomogeneitySpec(
+                fwhm=presets.SIM_FWHM, n_samples=101), grid)
+        assert chunks == [(301, 2, True)] * 20 + [(301, 1, True)]
+        assert np.abs(tr.absorbance - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_memory_of_one_two_photon_chunk(self):
+        # One chunk of the fig5 sweep factorised per two-photon point:
+        # max(1, 16 * 226 // 1001) = 3 points x 1001 shifts, no more points
+        # than the 16-shift chunk of test_memory_of_one_chunk.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        kernel = _SweepKernel(spec)
+        grid = np.linspace(-2e7, 2.5e7, 226)[:3]
+        shifts = np.linspace(-3e11, 3e11, 1001)
+        kernel.absorbance(shifts, grid, per_delta=True)
+        tracemalloc.start()
+        try:
+            kernel.absorbance(shifts, grid, per_delta=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_memory_of_one_chunk(self):
         # One 16-shift chunk of the fig5 sweep.  A batched LU of every point
