@@ -36,8 +36,10 @@ from .spectra import (
     homogeneous_spectrum,
     inhomogeneous_spectrum,
     magneto_map,
+    model_hash,
     power_from_rabi,
 )
+from .spin import MU_B_HZ_PER_T
 
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
@@ -135,10 +137,13 @@ def _simulation_from_config(cfg: dict, base: Path):
 
 
 def _output_prefix(cfg: dict, default: str) -> str:
-    """The stem of the file a simulate or map run writes."""
+    """The stem of the file a simulate or map run writes, inside --out."""
     prefix = cfg.get("output_prefix", default)
     if not isinstance(prefix, str) or not prefix:
         raise ConfigError(f"output_prefix: must be a non-empty string, got {prefix!r}")
+    if prefix in (".", "..") or "\0" in prefix or Path(prefix).name != prefix:
+        raise ConfigError(f"output_prefix: must be a file name with no directory part, "
+                          f"got {prefix!r}")
     return prefix
 
 
@@ -203,6 +208,11 @@ def cmd_map(args) -> int:
     # each field is read as the lone key of a block, so errors start "b_values_mT: "
     b_values = np.array([_number({"b_values_mT": b}, "b_values_mT", "", low=0.0)
                          for b in _list(cfg, "b_values_mT")]) * 1e-3
+    for b in b_values.tolist() or [ground.b_field]:  # the fields magneto_map uses
+        for name, model in (("ground", ground), ("excited", excited)):
+            if not np.isfinite(model.g_factor * MU_B_HZ_PER_T * b):
+                raise ConfigError(f"b_values_mT: the Zeeman term of spin.{name} (g = "
+                                  f"{model.g_factor:g}) overflows at {b * 1e3:g} mT")
     grid = _grid_from_config(cfg, scale)
     inhom = _inhom_from_config(cfg, scale)
     prefix = _output_prefix(cfg, "map")
@@ -211,7 +221,11 @@ def cmd_map(args) -> int:
     mmap = magneto_map(template, ground, excited, b_values, grid, inhom,
                        workers=args.workers)
     path = out / f"{prefix}.csv"
-    write_map_csv(path, mmap, _meta(cfg, args))
+    # the keys inhomogeneous_spectrum gives a simulate sidecar, for the template
+    meta = {"model": model_hash(template), "fwhm_hz": inhom.fwhm,
+            "n_samples": inhom.n_samples, "truncation": inhom.truncation,
+            **_meta(cfg, args)}
+    write_map_csv(path, mmap, meta)
     print(path)
     return 0
 

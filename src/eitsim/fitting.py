@@ -4,7 +4,9 @@ temperature series.
 
 Per-trace linear scale and constant offset are always profiled out
 analytically (observed signals come in arbitrary units on a background), so
-the optimizer only sees the physical parameters.
+the optimizer only sees the physical parameters.  The optimizer,
+scipy.optimize.least_squares, is imported by the first fit() call, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import Coupling, DecayChannel, Dephasing, DriveField, LevelSystemSpec
 from .spectra import (
@@ -23,6 +24,10 @@ from .spectra import (
 )
 
 CORRELATION_FLAG = 0.99
+# scipy.optimize.least_squares once fit() has imported it.  A module global,
+# not a local, because perfbench's tracer wraps the optimizer where this
+# module binds it.
+least_squares = None
 
 
 @dataclass(frozen=True)
@@ -270,6 +275,9 @@ def fit(traces, problem: FitProblem) -> FitResult:
     Non-convergence is flagged on the result rather than raised; near-singular
     Jacobian directions are reported per parameter in the warnings list.
     """
+    global least_squares
+    if least_squares is None:
+        from scipy.optimize import least_squares
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace required")

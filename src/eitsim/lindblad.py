@@ -3,6 +3,9 @@
 Column-stacking convention throughout: vec(rho)[i + N*j] = rho[i, j], so
 vec(A rho B) = kron(B.T, A) vec(rho).  Rates are in Hz; the 2*pi conversion
 to angular units happens here and only here.
+
+The steady state is a numpy LU solve (np.linalg), so importing this module
+loads no scipy; only the evolve oracle imports scipy.integrate, when called.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .model import (
     DecayChannel,
@@ -144,8 +145,9 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     """Unique unit-trace null vector of the generator.
 
     Solves the bordered linear system (one generator row replaced by the
-    trace constraint) by dense LU; falls back to an SVD null-space solve and
-    raises DegenerateSteadyState when the null space is not one-dimensional.
+    trace constraint) by dense LU (np.linalg.solve); falls back to an SVD
+    null-space solve and raises DegenerateSteadyState when the null space is
+    not one-dimensional.
     """
     mat = liouv.matrix
     n = liouv.n_levels
@@ -154,11 +156,11 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     scale = np.abs(mat).max()
     vec = None
     try:
-        cand = scipy.linalg.solve(a, b)
+        cand = np.linalg.solve(a, b)
         resid = np.abs(mat @ cand).max()
         if resid < _RESIDUAL_TOL * scale:
             vec = cand
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
 
     if vec is None:
@@ -197,6 +199,8 @@ def evolve(
     Both routes avoid the bordered linear solve that steady_state relies on.
     Hermiticity is enforced by symmetrization at readout.
     """
+    from scipy.integrate import solve_ivp
+
     if t < 0:
         raise ValueError("t must be >= 0")
     n = liouv.n_levels

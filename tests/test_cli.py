@@ -1,10 +1,15 @@
 """Command-line front end: configs, exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eitsim
 from eitsim import cli, presets
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
@@ -290,6 +295,20 @@ class TestMap:
         assert len(lines) == 3  # header + 2 field values
         assert len(lines[1].split(",")) == 32
 
+    def test_sidecar_names_model_and_ensemble(self, tmp_path):
+        # the keys a simulate sidecar gets from inhomogeneous_spectrum, for the template
+        cfg = self.map_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["map", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "map.meta.json").read_text())
+        expected = inhomogeneous_spectrum(
+            presets.five_level_double_eit(5e6, 3e6),
+            InhomogeneitySpec(fwhm=1e9, n_samples=101), np.zeros(1),
+        ).metadata
+        for key in ("model", "fwhm_hz", "n_samples", "truncation"):
+            assert meta[key] == expected[key], key
+        assert meta["config_hash"] == config_hash(json.loads(Path(cfg).read_text()))
+
     @pytest.mark.parametrize("b_values", [["x"], [float("nan")], [0.1, -0.2], 0.1, "0.1", True])
     def test_bad_b_values_is_config_error(self, tmp_path, capsys, b_values):
         cfg = self.map_config(tmp_path, b_values_mT=b_values)
@@ -521,6 +540,7 @@ class TestConfigReader:
         ("check", ("gamma_g",), -1, "gamma_g: "),
         ("map", ("model",), relabeled(FIVE_DOC, "g3", "g0"), "model: level 'g0'"),
         ("map", ("model",), relabeled(FIVE_DOC, "g3", "g4"), "model: level 'g4'"),
+        ("map", ("spin", "ground", "g"), 1e308, "b_values_mT: the Zeeman term of spin.ground"),
     ])
     def test_malformed_input_names_its_key(self, tmp_path, capsys, kind, path, value, prefix):
         doc = replaced(reader_configs(tmp_path)[kind], path, value)
@@ -529,7 +549,9 @@ class TestConfigReader:
         assert code == 2, err
         assert err.startswith("config error: " + prefix.format(cfg=cfg)), err
 
-    @pytest.mark.parametrize("value", [[1.0], None, "", 5, True, {}], ids=repr)
+    # a prefix with a directory part would write beside or outside --out
+    @pytest.mark.parametrize("value", [[1.0], None, "", 5, True, {}, "sub/trace", "../x",
+                                       "trace/", ".", "..", "x\0y"], ids=repr)
     @pytest.mark.parametrize("kind", ["homogeneous", "inhomogeneous", "map"])
     def test_bad_output_prefix_is_config_error(self, tmp_path, capsys, kind, value):
         doc = replaced(reader_configs(tmp_path)[kind], ("output_prefix",), value)
@@ -538,6 +560,7 @@ class TestConfigReader:
         assert code == 2, err
         assert err.startswith("config error: output_prefix: "), err
         assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_string_level_label_is_config_error(self, tmp_path, capsys):
         model = replaced(LAMBDA_DOC, ("levels", 0, "label"), ["g1"])
@@ -562,3 +585,49 @@ class TestConfigReader:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("config error: " + prefix), err
+
+
+# Run in a fresh interpreter: argv[1] holds reader_configs' files, argv[2] is --out.
+# Prints the exit codes and, after each stage, the scipy modules loaded so far.
+COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import eitsim
+import eitsim.cli as cli
+cli.build_parser()
+loaded, codes = {"import": scipy_modules()}, []
+cfg, out = sys.argv[1], ["--out", sys.argv[2]]
+for stage, runs in (
+    ("simulate, check", [["simulate", "--config", cfg + "/homogeneous.json", *out],
+                         ["simulate", "--config", cfg + "/inhomogeneous.json", *out],
+                         ["check", "--config", cfg + "/check.json"]]),
+    ("map, presets", [["map", "--config", cfg + "/map.json", *out], ["presets"]]),
+    ("fit", [["fit", "--config", cfg + "/fit.json", *out]]),
+):
+    codes += [cli.main(argv) for argv in runs]
+    loaded[stage] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+class TestColdStart:
+    def test_only_fit_loads_scipy(self, tmp_path):
+        # importing scipy costs most of a CLI run's start-up; only fit needs it
+        for kind, doc in reader_configs(tmp_path).items():
+            write_json(tmp_path / f"{kind}.json", doc)
+        src = str(Path(eitsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path),
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * 6, done.stderr
+        loaded = report["loaded"]
+        for stage in ("import", "simulate, check", "map, presets"):
+            assert loaded[stage] == [], (stage, loaded[stage])
+        assert "scipy.optimize" in loaded["fit"]
