@@ -73,7 +73,7 @@ def _number(block, key, where, default=None, low=-np.inf, above=False, scale=1.0
         raise ConfigError(f"{name}: missing or null")
     try:
         raw = np.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON int
         raw = np.nan
     x = raw * scale
     if not (np.isfinite(x) and (x > low if above else x >= low)):
@@ -81,6 +81,23 @@ def _number(block, key, where, default=None, low=-np.inf, above=False, scale=1.0
         hint = " (overflows once scaled to Hz)" if np.isfinite(raw) and np.isinf(x) else ""
         raise ConfigError(f"{name}: must be a finite number{bound}, got {value!r}{hint}")
     return x
+
+
+def _count(block, key, where, default=None, low=-np.inf) -> int:
+    """_number's value, which must also be a whole number (201.0 is 201)."""
+    x = _number(block, key, where, default, low=low)
+    if not x.is_integer():
+        raise ConfigError(f"{where}.{key}: must be a whole number, got {block[key]!r}")
+    return int(x)
+
+
+def _flag(block: dict, key: str, where: str) -> bool:
+    """block[key] as a JSON true or false; a missing key is false."""
+    value = block.get(key, False)
+    if not isinstance(value, bool):
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name}: must be true or false, got {value!r}")
+    return value
 
 
 def _list(cfg: dict, key: str) -> list:
@@ -105,18 +122,17 @@ def _grid_from_config(cfg: dict, scale: float) -> np.ndarray:
     g = cfg.get("delta_grid")
     start = _number(g, "start", "delta_grid", scale=scale)
     stop = _number(g, "stop", "delta_grid", low=start, above=True, scale=scale)
-    n = int(_number(g, "points", "delta_grid", low=1))
-    return np.linspace(start, stop, n)
+    return np.linspace(start, stop, _count(g, "points", "delta_grid", low=1))
 
 
 def _inhom_from_config(cfg: dict, scale: float) -> InhomogeneitySpec:
     """The ensemble block; keys it leaves out take InhomogeneitySpec's defaults."""
     block = cfg.get("inhomogeneity")
     fwhm = _number(block, "fwhm", "inhomogeneity", scale=scale)
-    n = _number(block, "n_samples", "inhomogeneity", InhomogeneitySpec.n_samples)
+    n = _count(block, "n_samples", "inhomogeneity", InhomogeneitySpec.n_samples)
     cut = _number(block, "truncation", "inhomogeneity", InhomogeneitySpec.truncation)
     try:
-        return InhomogeneitySpec(fwhm=fwhm, n_samples=int(n), truncation=cut)
+        return InhomogeneitySpec(fwhm=fwhm, n_samples=n, truncation=cut)
     except ValueError as exc:
         raise ConfigError(f"inhomogeneity: {exc}")
 
@@ -243,10 +259,11 @@ def cmd_fit(args) -> int:
             delta, signal, sigma = read_trace_csv(base / block["csv"])
         except (KeyError, TypeError, OSError) as exc:
             raise ConfigError(f"{where}.csv: missing or unreadable: {exc}")
-        power, temperature = (_number(block, key, where, low=0.0, above=True)
-                              if key in block else None for key in ("power_mw", "temperature_k"))
-        power = None if power is None else power * 1e-3
-        traces.append(ObservedTrace(delta, signal, sigma, power, temperature))
+        except ModelFormatError as exc:
+            raise ConfigError(f"{where}.csv: {exc}")
+        power = (_number(block, "power_mw", where, low=0.0, above=True) * 1e-3
+                 if "power_mw" in block else None)
+        traces.append(ObservedTrace(delta, signal, sigma, power))
     if not traces:
         raise ConfigError("fit config lists no traces")
     params = []
@@ -254,11 +271,10 @@ def cmd_fit(args) -> int:
         where = f"parameters[{k}]"
         initial, lower, upper = (_number(block, key, where, scale=scale)
                                  for key in ("initial", "lower", "upper"))
-        name = block.get("name")
+        name, per_trace = block.get("name"), _flag(block, "per_trace", where)
         try:
             apply_parameter(template, name, initial)
-            params.append(FreeParameter(name, initial, lower, upper,
-                                        per_trace=bool(block.get("per_trace", False))))
+            params.append(FreeParameter(name, initial, lower, upper, per_trace=per_trace))
         except (AttributeError, KeyError):
             raise ConfigError(f"{where}.name: {name!r} is not a parameter of the model")
         except ValueError as exc:
@@ -269,7 +285,7 @@ def cmd_fit(args) -> int:
         template=template,
         inhom=inhom,
         parameters=tuple(params),
-        rabi_power_scaling=bool(cfg.get("rabi_power_scaling", False)),
+        rabi_power_scaling=_flag(cfg, "rabi_power_scaling", ""),
         power_ref=_number(cfg, "power_ref_mw", "", 1.0, low=0.0, above=True) * 1e-3,
         workers=args.workers,
     )

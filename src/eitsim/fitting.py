@@ -1,6 +1,8 @@
 """Bounded nonlinear least-squares extraction of decay/dephasing parameters
-from observed probe-absorption traces, with joint fits across power and
-temperature series.
+from observed probe-absorption traces, fitted jointly across a series.  A
+power series scales the control Rabi frequency with sqrt(P) from each trace's
+power; in any other series, a temperature series for one, the rates that
+change from trace to trace are per_trace parameters.
 
 Per-trace linear scale and constant offset are always profiled out
 analytically (observed signals come in arbitrary units on a background), so
@@ -36,7 +38,6 @@ class ObservedTrace:
     signal: np.ndarray  # arbitrary units
     sigma: np.ndarray | None = None  # per-point noise
     power: float | None = None  # W
-    temperature: float | None = None  # K
 
     def __post_init__(self):
         object.__setattr__(self, "delta_grid", np.asarray(self.delta_grid, float))

@@ -182,13 +182,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     return rho
 
 
-def evolve(
-    rho0: np.ndarray,
-    liouv: Liouvillian,
-    t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> np.ndarray:
+def evolve(rho0: np.ndarray, liouv: Liouvillian, t: float) -> np.ndarray:
     """Propagate rho0 for t seconds under the generator.
 
     Independent oracle for steady_state.  Mildly stiff problems use
@@ -218,8 +212,8 @@ def evolve(
             (0.0, t),
             v0,
             method="DOP853",
-            rtol=rtol,
-            atol=atol,
+            rtol=1e-10,
+            atol=1e-12,
         )
         if not sol.success:
             raise RuntimeError(f"time evolution failed: {sol.message}")
@@ -232,17 +226,13 @@ def evolve(
     return 0.5 * (rho + rho.conj().T)
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-10,
-) -> None:
-    """Raise ValueError if rho violates Hermiticity, unit trace or positivity."""
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError if rho violates Hermiticity, unit trace or positivity,
+    each to within 1e-10."""
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
         raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
+    if abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError(f"trace {np.trace(rho)} != 1")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < eig_floor:
+    if w.min() < -1e-10:
         raise ValueError(f"negative eigenvalue {w.min()}")

@@ -73,7 +73,7 @@ def spec_from_dict(doc: dict) -> LevelSystemSpec:
             Dephasing(_name(d, "level"), float(d["rate"]) * scale)
             for d in doc.get("dephasings", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     return LevelSystemSpec(levels, drives, decays, dephasings)
 
@@ -131,7 +131,7 @@ def spin_from_dict(doc: dict, units: str) -> SpinModel:
             b_field=float(doc.get("B_mT", 0.0)) * 1e-3,
             angle_deg=float(doc.get("phi_deg", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed spin block: {exc}") from exc
 
 
@@ -156,7 +156,8 @@ def write_trace_csv(path, trace: SpectrumTrace, meta: dict | None = None) -> Non
 
 
 def read_trace_csv(path):
-    """Observed-trace CSV: header delta_hz, signal[, sigma]."""
+    """Observed-trace CSV: header delta_hz, signal[, sigma].  Every value must
+    be finite, sigma > 0, and delta_hz strictly increasing."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -173,12 +174,17 @@ def read_trace_csv(path):
             if len(row) != ncol:
                 raise ModelFormatError(f"{path}: row {k}: expected {ncol} fields")
             try:
-                delta.append(float(row[0]))
-                signal.append(float(row[1]))
-                if ncol == 3:
-                    sigma.append(float(row[2]))
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise ModelFormatError(f"{path}: row {k}: {exc}") from exc
+            for name, v in zip(("delta_hz", "signal", "sigma"), values):
+                if not np.isfinite(v) or (name == "sigma" and v <= 0):
+                    bound = "finite and > 0" if name == "sigma" else "finite"
+                    raise ModelFormatError(f"{path}: row {k}: {name} must be {bound}, "
+                                           f"got {v!r}")
+            delta.append(values[0])
+            signal.append(values[1])
+            sigma += values[2:]
     if np.any(np.diff(delta) <= 0):
         raise ModelFormatError(f"{path}: delta_hz must be strictly increasing")
     return (

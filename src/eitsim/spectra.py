@@ -402,20 +402,15 @@ def inhomogeneous_spectrum(
     kernel = _SweepKernel(spec)
     linewidth = homogeneous_linewidth(spec)
 
-    def compute(n_samples: int) -> np.ndarray:
-        shifts, weights = shift_samples(replace(inhom, n_samples=n_samples), linewidth)
-        rows = _sweep_rows(kernel, shifts, tp_grid, workers)
-        return weights @ rows
+    def average(shifts, weights) -> np.ndarray:
+        return np.asarray(weights, float) @ _sweep_rows(kernel, shifts, tp_grid, workers)
 
-    if shift_grid is not None:
-        shifts, weights = shift_grid
-        absorbance = np.asarray(weights, float) @ _sweep_rows(
-            kernel, np.asarray(shifts, float), tp_grid, workers
-        )
-    else:
-        absorbance = compute(inhom.n_samples)
+    if shift_grid is None:
+        shift_grid = shift_samples(inhom, linewidth)
+    absorbance = average(*shift_grid)
     if check_convergence:
-        refined = compute(2 * inhom.n_samples + 1)
+        refined = average(*shift_samples(
+            replace(inhom, n_samples=2 * inhom.n_samples + 1), linewidth))
         tol = 0.005 * np.abs(absorbance).max()
         if np.abs(refined - absorbance).max() > tol:
             raise NonConvergedSampling(
@@ -467,14 +462,14 @@ def power_from_rabi(omega: float, omega_ref: float, power_ref: float) -> float:
     return power_ref * (omega / omega_ref) ** 2
 
 
-def default_delta_grid(spec: LevelSystemSpec, n_points: int = 201) -> np.ndarray:
-    """Two-photon grid spanning +-6x the feature width estimate."""
+def default_delta_grid(spec: LevelSystemSpec) -> np.ndarray:
+    """201-point two-photon grid spanning +-6x the feature width estimate."""
     rabi_c = max((c.rabi for d in spec.drives for c in d.couplings
                   if d.field_id == CONTROL), default=0.0)
     width = max(homogeneous_linewidth(spec), rabi_c)
     if width == 0.0:
         width = 1.0
-    return np.linspace(-6.0 * width, 6.0 * width, n_points)
+    return np.linspace(-6.0 * width, 6.0 * width, 201)
 
 
 def _spin_index(label: str) -> int:
@@ -525,17 +520,17 @@ def magneto_map(
 # ---------------------------------------------------------------------------
 # Trace analysis helpers (dip/feature metrics used by tests and fits)
 
-def local_minima(trace: SpectrumTrace, prominence_fraction: float = 0.02) -> np.ndarray:
+def local_minima(trace: SpectrumTrace) -> np.ndarray:
     """Indices of interior local minima lying inside the absorption feature.
 
     Minima are kept when their prominence (depth below the surrounding
-    shoulders) exceeds prominence_fraction of the trace maximum, which
-    rejects numerical ripple in the far-detuned background.
+    shoulders) exceeds 2% of the trace maximum, which rejects numerical
+    ripple in the far-detuned background.
     """
     from scipy.signal import find_peaks
 
     a = trace.absorbance
-    idx, _ = find_peaks(-a, prominence=prominence_fraction * a.max())
+    idx, _ = find_peaks(-a, prominence=0.02 * a.max())
     return idx
 
 

@@ -98,15 +98,11 @@ def find_overlap_angle(
     excited: SpinModel,
     b_field: float,
     angle_window: tuple[float, float],
-    first: tuple[int, int] = (1, 1),
-    second: tuple[int, int] = (2, 2),
-    angle_tol: float = 0.01,
-    mismatch_tol: float = 1e3,
 ) -> float:
-    """Field angle (degrees) where the two control transitions coincide.
+    """Field angle (degrees) where g2 -> e2 and g3 -> e3 coincide.
 
-    Bisects delta_k(angle) over the window; refines past angle_tol until the
-    residual mismatch drops below mismatch_tol (Hz).
+    Bisects delta_k(angle) over the window; refines past 0.01 degrees until
+    the residual mismatch drops below 1 kHz.
     """
 
     def mismatch(angle: float) -> float:
@@ -114,7 +110,7 @@ def find_overlap_angle(
             replace(ground, b_field=b_field, angle_deg=angle),
             replace(excited, b_field=b_field, angle_deg=angle),
         )
-        return delta_k(ts, first, second)
+        return delta_k(ts)
 
     lo, hi = angle_window
     f_lo, f_hi = mismatch(lo), mismatch(hi)
@@ -135,6 +131,6 @@ def find_overlap_angle(
         else:
             hi, f_hi = mid, f_mid
         mid = 0.5 * (lo + hi)
-        if hi - lo < angle_tol and abs(f_mid) < mismatch_tol:
+        if hi - lo < 0.01 and abs(f_mid) < 1e3:
             break
     return mid

@@ -1,5 +1,7 @@
 """Command-line front end: configs, exit codes, artifacts, determinism."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 import eitsim
-from eitsim import cli, presets
+from eitsim import (ObservedTrace, check_density_matrix, cli, default_delta_grid, evolve,
+                    find_overlap_angle, local_minima, presets)
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
 
@@ -426,6 +429,7 @@ def reader_configs(tmp_path):
     save_model(tmp_path / "five.json", presets.five_level_double_eit(5e6, 3e6), units="MHz")
     (tmp_path / "bad.json").write_text("{\n")
     (tmp_path / "obs.csv").write_text("delta_hz,signal\n-1e7,1.0\n0.0,0.5\n1e7,1.0\n")
+    (tmp_path / "nonfinite.csv").write_text("delta_hz,signal\n-1e7,1.0\n0.0,nan\n1e7,1.0\n")
     grid = {"start": -20.0, "stop": 20.0, "points": 41}
     inhom = {"fwhm": 2000.0, "n_samples": 3, "truncation": 4.0}
     return {
@@ -497,6 +501,7 @@ OVERFLOWS = [
     ("homogeneous", ("model", "dephasings", 0, "rate"), "model: dephasing"),
 ]
 BAD_VALUES = ["x", [1.0], {}, None, float("nan"), float("inf"), float("-inf"), -1, 0, True]
+HUGE = 10**400  # a JSON integer that no float can hold
 
 
 class TestConfigReader:
@@ -541,6 +546,25 @@ class TestConfigReader:
         ("map", ("model",), relabeled(FIVE_DOC, "g3", "g0"), "model: level 'g0'"),
         ("map", ("model",), relabeled(FIVE_DOC, "g3", "g4"), "model: level 'g4'"),
         ("map", ("spin", "ground", "g"), 1e308, "b_values_mT: the Zeeman term of spin.ground"),
+        # booleans are JSON true or false: the strings "false" and "no" are truthy
+        ("fit", ("rabi_power_scaling",), "false", "rabi_power_scaling: must be true or false"),
+        ("fit", ("rabi_power_scaling",), 0, "rabi_power_scaling: must be true or false"),
+        ("fit", ("parameters", 0, "per_trace"), "no",
+         "parameters[0].per_trace: must be true or false"),
+        ("fit", ("parameters", 0, "per_trace"), None,
+         "parameters[0].per_trace: must be true or false"),
+        # counts are whole numbers, never truncated
+        ("homogeneous", ("delta_grid", "points"), 2.7, "delta_grid.points: must be a whole number"),
+        ("map", ("delta_grid", "points"), 41.5, "delta_grid.points: must be a whole number"),
+        ("inhomogeneous", ("inhomogeneity", "n_samples"), 801.5,
+         "inhomogeneity.n_samples: must be a whole number"),
+        ("fit", ("traces", 0, "csv"), "nonfinite.csv", "traces[0].csv: "),
+        pytest.param("homogeneous", ("control_detuning",), HUGE, "control_detuning: ",
+                     id="homogeneous-control_detuning-huge-int"),
+        pytest.param("homogeneous", ("model",), replaced(LAMBDA_DOC, ("decays", 0, "rate"), HUGE),
+                     "malformed model document: ", id="homogeneous-model-rate-huge-int"),
+        pytest.param("map", ("spin", "ground", "D"), HUGE, "malformed spin block: ",
+                     id="map-spin.ground.D-huge-int"),
     ])
     def test_malformed_input_names_its_key(self, tmp_path, capsys, kind, path, value, prefix):
         doc = replaced(reader_configs(tmp_path)[kind], path, value)
@@ -548,6 +572,32 @@ class TestConfigReader:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("config error: " + prefix.format(cfg=cfg)), err
+
+    @pytest.mark.parametrize("kind, path, value", [
+        ("homogeneous", ("delta_grid", "points"), 41.0),
+        ("inhomogeneous", ("inhomogeneity", "n_samples"), 3.0),
+    ])
+    def test_whole_number_count_may_be_written_as_float(self, tmp_path, kind, path, value):
+        base = reader_configs(tmp_path)[kind]
+        assert self.run(tmp_path, kind, base)[1] == 0
+        expected = (tmp_path / "out" / "trace.csv").read_bytes()
+        assert self.run(tmp_path, kind, replaced(base, path, value))[1] == 0
+        assert (tmp_path / "out" / "trace.csv").read_bytes() == expected
+
+    def test_options_that_nothing_sets_are_gone(self, tmp_path, capsys):
+        removed = {
+            evolve: {"rtol", "atol"},
+            check_density_matrix: {"herm_tol", "trace_tol", "eig_floor"},
+            local_minima: {"prominence_fraction"},
+            default_delta_grid: {"n_points"},
+            find_overlap_angle: {"first", "second", "angle_tol", "mismatch_tol"},
+        }
+        for func, names in removed.items():
+            assert not names & set(inspect.signature(func).parameters), func.__name__
+        assert "temperature" not in {f.name for f in dataclasses.fields(ObservedTrace)}
+        # the reader ignores temperature_k, like any key it does not know
+        doc = replaced(reader_configs(tmp_path)["fit"], ("traces", 0, "temperature_k"), "x")
+        assert self.run(tmp_path, "fit", doc)[1] == 0, capsys.readouterr().err
 
     # a prefix with a directory part would write beside or outside --out
     @pytest.mark.parametrize("value", [[1.0], None, "", 5, True, {}, "sub/trace", "../x",

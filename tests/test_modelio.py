@@ -130,6 +130,30 @@ class TestTraceCsv:
         with pytest.raises(ModelFormatError, match="strictly increasing"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("nan,2.0,0.1", "delta_hz must be finite, got nan"),
+        ("inf,2.0,0.1", "delta_hz must be finite, got inf"),
+        ("1.0,nan,0.1", "signal must be finite, got nan"),
+        ("1.0,-inf,0.1", "signal must be finite, got -inf"),
+        ("1.0,1e400,0.1", "signal must be finite, got inf"),
+        ("1.0,2.0,nan", "sigma must be finite and > 0, got nan"),
+        ("1.0,2.0,0", "sigma must be finite and > 0, got 0.0"),
+        ("1.0,2.0,-0.1", "sigma must be finite and > 0, got -0.1"),
+    ])
+    def test_non_finite_value_or_bad_sigma_names_file_and_row(self, tmp_path, row, message):
+        # a NaN delta_hz would also pass the strictly-increasing check
+        path = tmp_path / "bad.csv"
+        path.write_text(f"delta_hz,signal,sigma\n0.0,1.0,0.1\n{row}\n2.0,1.0,0.1\n")
+        with pytest.raises(ModelFormatError) as exc:
+            read_trace_csv(path)
+        assert str(exc.value) == f"{path}: row 3: {message}"
+
+    def test_non_finite_value_in_two_column_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("delta_hz,signal\n0.0,1.0\n1.0,NaN\n")
+        with pytest.raises(ModelFormatError, match="row 3: signal must be finite"):
+            read_trace_csv(path)
+
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

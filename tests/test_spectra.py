@@ -359,6 +359,33 @@ class TestSweepKernel:
             other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
             assert np.array_equal(ref, other)
 
+    @given(seed=st.integers(0, 2**32 - 1), few=st.integers(0, 6), many=st.integers(0, 22),
+           fwhm=st.floats(1e8, 1e10), workers=st.sampled_from([2, 3, 8]))
+    def test_worker_count_bit_identical_on_random_models(self, seed, few, many, fwhm, workers):
+        # Two ensembles per model, sized so that each runs in its own sweep
+        # orientation and in more than one chunk: 17-21 shifts (16 to a
+        # chunk) by at least as many two-photon points goes per shift, and
+        # 17-61 shifts by 2-8 points per point.  Small, because a model
+        # whose lines fall back is solved point by point.
+        spec = random_model(np.random.default_rng(seed))
+        n_shift = 17 + 2 * (many % 3)
+        sizes = {False: (n_shift, n_shift + few), True: (17 + 2 * many, 2 + few)}
+        absorbance = _SweepKernel.absorbance
+        for per_delta, (n_samples, n_tp) in sizes.items():
+            inhom = InhomogeneitySpec(fwhm=fwhm, n_samples=n_samples, auto_dense=False)
+            grid = np.linspace(-1e8, 1e8, n_tp)
+            chunks = []
+
+            def recorded(self, d, t, orientation=None):
+                chunks.append(orientation)
+                return absorbance(self, d, t, orientation)
+
+            with mock.patch.object(_SweepKernel, "absorbance", recorded):
+                ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
+            assert len(chunks) > 1 and set(chunks) == {per_delta}
+            other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
+            assert np.array_equal(ref, other)
+
 
 class TestInhomogeneous:
     def test_zero_width_equals_homogeneous(self, lambda_spec):
