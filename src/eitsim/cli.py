@@ -44,6 +44,7 @@ from .spin import MU_B_HZ_PER_T
 EXIT_CONFIG = 2
 EXIT_ENGINE = 3
 EXIT_NONCONVERGED = 4
+_MAX_COUNT = 10**6  # ceiling of a config count (grid points, ensemble samples)
 
 
 class ConfigError(ValueError):
@@ -84,10 +85,13 @@ def _number(block, key, where, default=None, low=-np.inf, above=False, scale=1.0
 
 
 def _count(block, key, where, default=None, low=-np.inf) -> int:
-    """_number's value, which must also be a whole number (201.0 is 201)."""
+    """_number's value, which must also be a whole number (201.0 is 201) and
+    at most _MAX_COUNT."""
     x = _number(block, key, where, default, low=low)
     if not x.is_integer():
         raise ConfigError(f"{where}.{key}: must be a whole number, got {block[key]!r}")
+    if x > _MAX_COUNT:
+        raise ConfigError(f"{where}.{key}: must be at most {_MAX_COUNT}, got {block[key]!r}")
     return int(x)
 
 

@@ -4,13 +4,16 @@ magneto-spectroscopy maps, and the control-intensity threshold utilities.
 The steady-state sweep exploits the fact that the rotating-frame Hamiltonian
 is affine in the detuning point: the Liouvillian is precomputed once, and the
 optical shift (control_detuning) and the two-photon detuning each move a few
-of its diagonal entries.  The sweep factorises the generator once per value
-of one of the two axes and evaluates the other, a low-rank diagonal update,
-in closed form over the whole grid.  It factorises per shift for homogeneous
-spectra and per two-photon point when an ensemble has enough shift samples
-to make that cheaper, by a cost read from the model's and the grid's sizes
-(see _SweepKernel).  Ensemble averaging uses a fixed-order weighted
-reduction, so results are bit-identical for any worker count.
+of its coherences.  The sweep works in the real basis (rho_ii, Re rho_ij,
+Im rho_ij), where the generator of a Hermitian state is a real matrix of the
+same size and each detuning acts by 2x2 rotation blocks on one contiguous
+range of coordinates.  It factorises the generator once per value of one of
+the two axes and evaluates the other, a low-rank update, in closed form over
+the whole grid.  It factorises per shift for homogeneous spectra and per
+two-photon point when an ensemble has enough shift samples to make that
+cheaper, by a cost read from the model's and the grid's sizes (see
+_SweepKernel).  Ensemble averaging uses a fixed-order weighted reduction, so
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -25,10 +28,18 @@ from .model import (
     CONTROL,
     DetuningPoint,
     LevelSystemSpec,
+    assemble_hamiltonian,
     assign_rotating_frame,
     detuning_derivatives,
 )
-from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
+from .lindblad import (
+    TWO_PI,
+    Liouvillian,
+    _bordered_system,
+    dissipator_superoperator,
+    hamiltonian_superoperator,
+    steady_state,
+)
 
 _CHUNK = 16  # shifts per batched solve (fewer points per chunk when factorising
              # per two-photon point, see _sweep_rows); fixed so chunking does not
@@ -36,6 +47,7 @@ _CHUNK = 16  # shifts per batched solve (fewer points per chunk when factorising
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # one refinement step does not restore; such lines are
                    # solved point by point
+_MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
 
 
 class NonConvergedSampling(RuntimeError):
@@ -153,29 +165,72 @@ def probe_absorption(rho: np.ndarray, spec: LevelSystemSpec) -> float:
     return float((vec[idx].imag - vec[idx_t].imag) @ weights)
 
 
+def _real_basis(d_delta: np.ndarray, d_tp: np.ndarray):
+    """Change of basis T from column-stacked vec(rho) to real coordinates, and
+    T^-1, for the per-level detuning derivatives d_delta and d_tp.
+
+    The coordinates are rho_ii (i = 0 first), then Re rho_ij and Im rho_ij
+    for each pair i < j, the pairs ordered [neither | P only | P and Q |
+    Q only], where P holds the pairs the two-photon detuning moves (d_tp
+    differs) and Q those the optical shift moves (d_delta differs).  P and Q
+    are then the contiguous ranges returned with T.  A Hermitian rho has real
+    coordinates, and T A T^-1 is real for a generator A that preserves
+    Hermiticity.  The entries of T and T^-1 are 1, 1/2, +-i and +-i/2:
+    multiplying by them is exact, and each entry of T A T^-1 sums at most
+    four entries of A.
+    """
+    n = len(d_delta)
+    i, j = np.triu_indices(n, 1)
+    in_p, in_q = d_tp[i] != d_tp[j], d_delta[i] != d_delta[j]
+    group = np.where(in_q, 3 - in_p, in_p)  # 0 neither, 1 P only, 2 both, 3 Q only
+    order = np.argsort(group, kind="stable")
+    i, j = i[order], j[order]
+    m = n * n
+    t = np.zeros((m, m), dtype=complex)
+    tinv = np.zeros((m, m), dtype=complex)
+    diag = np.arange(n)
+    t[diag, diag * (n + 1)] = tinv[diag * (n + 1), diag] = 1.0
+    re = n + 2 * np.arange(len(i))
+    ij, ji = i + n * j, j + n * i
+    t[re, ij] = t[re, ji] = 0.5
+    t[re + 1, ij], t[re + 1, ji] = -0.5j, 0.5j
+    tinv[ij, re] = tinv[ji, re] = 1.0
+    tinv[ij, re + 1], tinv[ji, re + 1] = 1j, -1j
+    ends = n + 2 * np.cumsum(np.bincount(group, minlength=4))
+    return t, tinv, range(ends[0], ends[2]), range(ends[1], ends[3])
+
+
 class _SweepKernel:
     """Steady-state solver for a fixed model over (shift, two-photon) points.
 
-    The bordered generator at shift d and two-photon detuning t is
-    B(d, t) = a0 + d*diag(diag_delta) + t*diag(diag_tp): affine in both
-    detunings, each of which moves only a few diagonal entries.  diag_tp is
-    nonzero only on the coherences P of the probe-driven ground levels, and
-    diag_delta only on the optical coherences Q.  Either axis can therefore
-    be the one that is factorised.  Write B(u, v) = a0 + u*diag(U) +
-    v*diag(V) with S = nonzero(V); along v each B is a rank-|S| diagonal
-    update of A_u = B(u, 0).  One LU of A_u gives A_u^-1, so x0 = A_u^-1 e_0
-    and G = A_u^-1 E_S.  With D = V[S] and the eigendecomposition
-    diag(D) G[S] = W diag(lam) W^-1, the Woodbury identity gives every point
-    of the line in closed form,
+    The kernel works in the real basis of _real_basis: T maps the column-
+    stacked vec(rho) to (rho_ii, Re rho_ij, Im rho_ij), and a0 = T A T^-1,
+    the bordered generator at zero detuning, is a real matrix.  Its trace row
+    stays row 0 and its right-hand side e_0.  A detuning adds -i w_ij rho_ij
+    to each coherence, which in the real basis is the rotation block
+    [[0, w_ij], [-w_ij, 0]] on (Re rho_ij, Im rho_ij).  So the bordered
+    generator at shift d and two-photon detuning t is B(d, t) = a0 +
+    d*delta_block + t*tp_block, each block acting on one contiguous range:
+    the two-photon detuning on the coherences P of the probe-driven ground
+    levels (tp_idx), the shift on the optical coherences Q (delta_idx).
+    Either axis can therefore be the one that is factorised.
 
-        x(u, v) = x0 - G W [v c_k / (1 + v lam_k)],   c = W^-1 (D * x0[S]),
+    Write B(u, v) = a0 + u*U + v*V, with V supported on the range S.  Along v
+    each B is a rank-|S| update of A_u = B(u, 0).  One LU of A_u gives A_u^-1
+    and, for y = A_u^-1 b, the Woodbury identity with the real |S| x |S|
+    matrix V_SS (A_u^-1)_SS = W diag(lam) W^-1 gives every point of the line
+    in closed form,
 
-    so a line costs one factorisation plus O(m |S|) per point; the lam_k are
-    its poles.  One step of iterative refinement follows (it applies A_u^-1
-    to the residuals), and every point's residual against its own B(u, v) is
-    checked.  A line that fails the check or has an ill-conditioned W, and
-    every line of a call whose factorisation fails, is solved point by point
-    by steady_state.
+        B(u, v)^-1 b = y - (A_u^-1)_:S Re q,   q = W [v / (1 + v lam)] W^-1 V_SS y_S.
+
+    The poles lam come in conjugate pairs, so q is real up to rounding; only
+    the S-space terms are complex, and a line costs one factorisation plus
+    O(|S|^2 + m |S|) real work per point.  One step of iterative refinement
+    follows (it applies A_u^-1 to the residuals), and every point's residual
+    against its own B(u, v) is checked.  A line that fails the check or has
+    an ill-conditioned W, and every line of a call whose factorisation fails,
+    is solved point by point by steady_state.  The absorbance is read from
+    the Im rho_ge coordinate of each probe coupling.
 
     The two orientations are per shift (u = d, v = t, S = P) and per
     two-photon point (u = t, v = d, S = Q).  For m = len(a0), n_d shifts and
@@ -188,20 +243,44 @@ class _SweepKernel:
     def __init__(self, spec: LevelSystemSpec):
         self.spec = spec
         n = spec.n_levels
-        liouv = liouvillian_for(spec, DetuningPoint(0.0, 0.0))
-        d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
-        # Diagonal (in vec space) update vectors for the commutator term.
-        i_idx = np.arange(n * n) % n
-        j_idx = np.arange(n * n) // n
-        self.diag_delta = -1j * TWO_PI * (d_delta[i_idx] - d_delta[j_idx])
-        self.diag_tp = -1j * TWO_PI * (d_tp[i_idx] - d_tp[j_idx])
-        self.tp_idx = np.flatnonzero(self.diag_tp)
-        self.delta_idx = np.flatnonzero(self.diag_delta)
+        # The fallback rebuilds only the Hamiltonian part per point.
+        self.frame = assign_rotating_frame(spec)
+        self.dissipator = dissipator_superoperator(n, spec.labels, spec.decays,
+                                                   spec.dephasings)
+        a, _ = _bordered_system(self._liouvillian(DetuningPoint(0.0, 0.0)).matrix, n)
+        d_delta, d_tp = detuning_derivatives(spec, self.frame)
+        t, tinv, self.tp_idx, self.delta_idx = _real_basis(d_delta, d_tp)
 
-        # The detuning updates vanish on population components, so the trace
-        # row of the bordered matrix is never touched by the diagonal shifts.
-        self.a0, _ = _bordered_system(liouv.matrix, n)  # rhs e_0
-        self.probe_idx, self.probe_idx_t, self.probe_w = _probe_readout(spec)
+        a0 = t @ a @ tinv
+        if not np.abs(a0.imag).max() <= _MAX_IMAG * np.abs(a).max():
+            raise ValueError("generator does not preserve Hermiticity")
+        self.a0 = a0.real.copy()
+
+        def block(deriv, idx):
+            """The real update of one detuning on its range idx."""
+            # -i 2pi (deriv_i - deriv_j) on vec index i + n j
+            diag = -1j * TWO_PI * np.subtract.outer(deriv, deriv).ravel(order="F")
+            s = slice(idx.start, idx.stop)
+            return (t[s] @ (diag[:, None] * tinv[:, s])).real
+
+        self.delta_block = block(d_delta, self.delta_idx)
+        self.tp_block = block(d_tp, self.tp_idx)
+
+        # The probe read-out weights @ (Im vec[idx] - Im vec[idx_t]) is real
+        # linear in the real coordinates and touches one per coupling.
+        idx, idx_t, weights = _probe_readout(spec)
+        c = np.zeros(n * n)
+        np.add.at(c, idx, weights)
+        np.add.at(c, idx_t, -weights)
+        readout = (c @ tinv).imag
+        self.probe_idx = np.flatnonzero(readout)
+        self.probe_w = readout[self.probe_idx]
+
+    def _liouvillian(self, point: DetuningPoint) -> Liouvillian:
+        """build_liouvillian's generator at point, from the kernel's frame and
+        dissipator."""
+        h = assemble_hamiltonian(self.spec, self.frame, point)
+        return Liouvillian(hamiltonian_superoperator(h) + self.dissipator)
 
     def per_delta(self, n_shifts: int, n_tp: int) -> bool:
         """Whether one factorisation per two-photon point is cheaper than one
@@ -210,24 +289,23 @@ class _SweepKernel:
         return (n_tp * m2 + points * len(self.delta_idx)
                 < n_shifts * m2 + points * len(self.tp_idx))
 
-    def _resolvent(self, a: np.ndarray, s: np.ndarray, d: np.ndarray):
-        """A_u^-1 and the pole form of each line: G W, W^-1, lam and the
-        1-norm condition number of W, where diag(d) G[s] = W diag(lam) W^-1."""
+    def _resolvent(self, a: np.ndarray, s: slice, block: np.ndarray):
+        """A_u^-1 and the pole form of each line: W, W^-1 V_SS, lam and the
+        1-norm condition number of W, where block @ (A_u^-1)_SS =
+        W diag(lam) W^-1 and block is V_SS."""
         eye = np.eye(a.shape[-1])
         ainv = np.linalg.solve(a, eye)
-        g = ainv[..., s]
-        lam, w = np.linalg.eig(d[:, None] * g[:, s, :])
-        winv = np.linalg.solve(w, eye[: len(s), : len(s)])
+        lam, w = np.linalg.eig(block @ ainv[:, s, s])
+        winv = np.linalg.solve(w, eye[: len(block), : len(block)])
         cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
-        return ainv, g @ w, winv, lam, cond
+        return ainv, w, winv @ block, lam, cond
 
     def _point_row(self, deltas, two_photons) -> np.ndarray:
         """One line by single-point solves, over whichever argument is an
         array; steady_state's SVD fallback either finds the unique steady
         state or raises DegenerateSteadyState."""
         return np.array([
-            probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(d, t))),
-                             self.spec)
+            probe_absorption(steady_state(self._liouvillian(DetuningPoint(d, t))), self.spec)
             for d, t in np.broadcast(deltas, two_photons)
         ])
 
@@ -248,47 +326,63 @@ class _SweepKernel:
         """Absorbance of B(u, v) for u in us (factorised) and v in vs (closed
         form), shape (len(us), len(vs))."""
         if per_delta:
-            u_diag, v_diag, s = self.diag_tp, self.diag_delta, self.delta_idx
+            u_block, u_idx, v_block, v_idx = (self.tp_block, self.tp_idx,
+                                              self.delta_block, self.delta_idx)
         else:
-            u_diag, v_diag, s = self.diag_delta, self.diag_tp, self.tp_idx
+            u_block, u_idx, v_block, v_idx = (self.delta_block, self.delta_idx,
+                                              self.tp_block, self.tp_idx)
+        su, s = slice(u_idx.start, u_idx.stop), slice(v_idx.start, v_idx.stop)
 
         def point_line(k):
             return (self._point_row(vs, us[k]) if per_delta
                     else self._point_row(us[k], vs))
 
-        r = np.arange(len(self.a0))
         a = np.broadcast_to(self.a0, (len(us),) + self.a0.shape).copy()
-        a[:, r, r] += us[:, None] * u_diag
-        d = v_diag[s]
+        a[:, su, su] += us[:, None, None] * u_block
         try:
-            ainv, gw, winv, lam, cond = self._resolvent(a, s, d)
+            ainv, w, winv_v, lam, cond = self._resolvent(a, s, v_block)
         except np.linalg.LinAlgError:
             return np.array([point_line(k) for k in range(len(us))])
         v = vs[:, None]
-        poles = v / (1.0 + v * lam[:, None, :])  # (nu, nv, |S|)
-        v_diag = v * v_diag  # (nv, m)
+        poles = v * lam[:, None, :]  # v / (1 + v lam), (nu, nv, |S|), in place
+        poles += 1.0
+        np.divide(v, poles, out=poles)
+        # Contiguous transposes, so that each per-point product is one
+        # batched matmul, and real forms of the complex S-space factors: a
+        # complex array viewed as float interleaves (Re, Im), so y_S @ c_form
+        # is W^-1 V_SS y_S in that layout, and p @ re_form is Re(W p).
+        a_t, ainv_t = (np.ascontiguousarray(b.swapaxes(1, 2)) for b in (a, ainv))
+        g_t = ainv_t[:, s]  # ((A_u^-1)_:S)^T
+        c_form = np.ascontiguousarray(winv_v.swapaxes(1, 2), complex).view(float)
+        re_form = np.ascontiguousarray(
+            np.ascontiguousarray(w.conj(), complex).view(float).swapaxes(1, 2))
+        v_t = v_block.T
 
         def solve(y):
             """B(u, v)^-1 b at every point, from y = A_u^-1 b."""
-            z = ((d * y[..., s]) @ winv.swapaxes(1, 2) * poles) @ gw.swapaxes(1, 2)
+            p = (y[..., s] @ c_form).view(complex) * poles
+            z = (p.view(float) @ re_form) @ g_t  # Re q @ ((A_u^-1)_:S)^T
             return np.subtract(y, z, out=z)
 
         def residual(x):
             """B(u, v) x - e_0 at every point."""
-            res = x @ a.swapaxes(1, 2)
-            res += v_diag * x
+            res = x @ a_t
+            update = x[..., s] @ v_t
+            update *= v
+            res[..., s] += update
             res[..., 0] -= 1.0
             return res
 
         x = solve(ainv[:, None, :, 0])  # A_u^-1 e_0
         # One step of iterative refinement: where the pole terms cancel, it
         # brings x back to the accuracy of a direct solve.
-        x -= solve(residual(x) @ ainv.swapaxes(1, 2))
+        x -= solve(residual(x) @ ainv_t)
         tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
-        # NaN-safe: a NaN residual or condition number fails the comparison.
-        ok = (np.abs(residual(x)).max(axis=2) <= tol[:, None]).all(axis=1)
+        # NaN-safe: max propagates a NaN residual, and a NaN residual or
+        # condition number fails the comparison.
+        ok = np.abs(residual(x)).reshape(len(us), -1).max(axis=1) <= tol
         ok &= cond <= _MAX_COND_W
-        out = (x[..., self.probe_idx].imag - x[..., self.probe_idx_t].imag) @ self.probe_w
+        out = x[..., self.probe_idx] @ self.probe_w
         for k in np.flatnonzero(~ok):
             out[k] = point_line(k)
         return out

@@ -565,6 +565,16 @@ class TestConfigReader:
                      "malformed model document: ", id="homogeneous-model-rate-huge-int"),
         pytest.param("map", ("spin", "ground", "D"), HUGE, "malformed spin block: ",
                      id="map-spin.ground.D-huge-int"),
+        # counts have a ceiling: 1e15 points would not fit in any memory
+        pytest.param("homogeneous", ("delta_grid", "points"), 1e15,
+                     "delta_grid.points: must be at most 1000000, got 1000000000000000.0",
+                     id="homogeneous-delta_grid.points-above-ceiling"),
+        pytest.param("map", ("delta_grid", "points"), 10**6 + 1,
+                     "delta_grid.points: must be at most 1000000, got 1000001",
+                     id="map-delta_grid.points-above-ceiling"),
+        pytest.param("inhomogeneous", ("inhomogeneity", "n_samples"), 10**6 + 1,
+                     "inhomogeneity.n_samples: must be at most 1000000, got 1000001",
+                     id="inhomogeneous-inhomogeneity.n_samples-above-ceiling"),
     ])
     def test_malformed_input_names_its_key(self, tmp_path, capsys, kind, path, value, prefix):
         doc = replaced(reader_configs(tmp_path)[kind], path, value)
@@ -583,6 +593,13 @@ class TestConfigReader:
         expected = (tmp_path / "out" / "trace.csv").read_bytes()
         assert self.run(tmp_path, kind, replaced(base, path, value))[1] == 0
         assert (tmp_path / "out" / "trace.csv").read_bytes() == expected
+
+    def test_count_ceiling_is_inclusive(self):
+        # Read without running: a million points is allowed, one more is not.
+        assert cli._count({"points": 10**6}, "points", "delta_grid", low=1) == 10**6
+        assert cli._count({"points": 1e6}, "points", "delta_grid", low=1) == 10**6
+        with pytest.raises(cli.ConfigError, match="must be at most 1000000"):
+            cli._count({"points": 1e6 + 1}, "points", "delta_grid", low=1)
 
     def test_options_that_nothing_sets_are_gone(self, tmp_path, capsys):
         removed = {
