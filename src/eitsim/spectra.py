@@ -12,7 +12,8 @@ the two axes and evaluates the other, a low-rank update, in closed form over
 the whole grid.  It factorises per shift for homogeneous spectra and per
 two-photon point when an ensemble has enough shift samples to make that
 cheaper, by a cost read from the model's and the grid's sizes (see
-_SweepKernel).  Ensemble averaging uses a fixed-order weighted reduction, so
+_SweepKernel).  It sweeps the grid in tiles of at most _POINTS points (see
+_sweep_rows) and averages ensembles by a fixed-order weighted reduction, so
 results are bit-identical for any worker count.
 """
 
@@ -41,9 +42,8 @@ from .lindblad import (
     steady_state,
 )
 
-_CHUNK = 16  # shifts per batched solve (fewer points per chunk when factorising
-             # per two-photon point, see _sweep_rows); fixed so chunking does not
-             # depend on the worker count
+_POINTS = 2560  # (shift, two-photon) points per tile of the sweep, see
+                # _sweep_rows; fixed so tiling does not depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # one refinement step does not restore; such lines are
                    # solved point by point
@@ -74,10 +74,12 @@ class InhomogeneitySpec:
     def __post_init__(self):
         if not 0.0 <= self.fwhm < np.inf:
             raise ValueError("fwhm must be finite and >= 0")
-        if self.n_samples < 1 or self.n_samples % 2 == 0:
-            raise ValueError("n_samples must be odd and >= 1")
-        if not 0.0 < self.truncation < np.inf:
-            raise ValueError("truncation must be finite and > 0")
+        if (not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool)
+                or self.n_samples < 1 or self.n_samples % 2 == 0):
+            raise ValueError("n_samples must be an odd integer >= 1")
+        for name in ("truncation", "dense_halfwidth", "dense_step"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
     @property
     def sigma(self) -> float:
@@ -390,37 +392,33 @@ class _SweepKernel:
 
 def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
                 workers: int) -> np.ndarray:
-    """Absorbance rows for each shift sample, chunked along the factorised
-    axis.
+    """Absorbance rows for each shift sample, computed tile by tile.
 
-    A chunk is _CHUNK shifts, or in the per-two-photon orientation
-    max(1, _CHUNK * len(tp_grid) // len(deltas)) two-photon points, so it
-    holds no more than _CHUNK * len(tp_grid) points either way, unless one
-    two-photon point alone has more shifts than that.  Chunk boundaries are
-    independent of the worker count, and results are written back by index,
-    so the output is bit-identical for any number of workers.
+    A tile takes up to _POINTS values of the closed-form axis and
+    max(1, _POINTS // its length) values of the factorised axis, so it holds
+    at most _POINTS points and its memory does not grow with the grid.  Tile
+    boundaries are independent of the worker count, and results are written
+    back by index, so the output is bit-identical for any number of workers.
     """
     deltas = np.asarray(deltas, dtype=float)
     per_delta = kernel.per_delta(len(deltas), len(tp_grid))
-    if per_delta:
-        n, step = len(tp_grid), max(1, _CHUNK * len(tp_grid) // len(deltas))
-    else:
-        n, step = len(deltas), _CHUNK
+    closed = len(deltas) if per_delta else len(tp_grid)
+    factored = max(1, _POINTS // max(closed, 1))
+    sd, st = (_POINTS, factored) if per_delta else (factored, _POINTS)
     out = np.empty((len(deltas), len(tp_grid)))
 
-    def run(k):
-        if per_delta:
-            out[:, k : k + step] = kernel.absorbance(deltas, tp_grid[k : k + step], True)
-        else:
-            out[k : k + step] = kernel.absorbance(deltas[k : k + step], tp_grid, False)
+    def run(tile):
+        a, b = tile
+        out[a : a + sd, b : b + st] = kernel.absorbance(
+            deltas[a : a + sd], tp_grid[b : b + st], per_delta)
 
-    chunks = range(0, n, step)
-    if workers > 1 and len(chunks) > 1:
+    tiles = [(a, b) for a in range(0, len(deltas), sd) for b in range(0, len(tp_grid), st)]
+    if workers > 1 and len(tiles) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
+            list(pool.map(run, tiles))
     else:
-        for k in chunks:
-            run(k)
+        for tile in tiles:
+            run(tile)
     return out
 
 

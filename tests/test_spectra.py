@@ -139,10 +139,26 @@ class TestHomogeneous:
             assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
 
     def test_worker_count_bit_identical(self, lambda_spec):
-        grid = np.linspace(-2e7, 2e7, 101)
-        a = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=1)
-        b = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=4)
-        assert np.array_equal(a.absorbance, b.absorbance)
+        for grid in (np.linspace(-2e7, 2e7, 101), np.array([])):
+            a = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=1)
+            b = homogeneous_spectrum(lambda_spec, 0.0, grid, workers=4)
+            assert a.absorbance.shape == grid.shape
+            assert np.array_equal(a.absorbance, b.absorbance)
+
+    def test_memory_of_a_long_line(self):
+        # 100000 points at one shift go in tiles of _POINTS points, about
+        # 3 MiB at the peak.  A sweep of the whole line at once needs about
+        # 0.9 KiB per point, 89 MiB.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        grid = np.linspace(-2e7, 2.5e7, 100_000)
+        homogeneous_spectrum(spec, 0.0, grid[:10])
+        tracemalloc.start()
+        try:
+            homogeneous_spectrum(spec, 0.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def random_model(rng) -> LevelSystemSpec:
@@ -299,8 +315,9 @@ class TestSweepKernel:
 
     def test_two_photon_chunks_match_shift_chunks(self, lambda_spec):
         # 101 samples plus the dense tier: 301 shifts x 41 points, which
-        # _sweep_rows splits into chunks of max(1, 16 * 41 // 301) = 2
-        # two-photon points, no more points than a 16-shift chunk.
+        # _sweep_rows splits into tiles of all 301 shifts (the closed-form
+        # axis) by max(1, _POINTS // 301) two-photon points: at 2560, five
+        # tiles of 8 points and one of 1.
         grid = np.linspace(-1e7, 1e7, 41)
         shifts, weights = shift_samples(
             InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=101),
@@ -318,13 +335,15 @@ class TestSweepKernel:
         with mock.patch.object(_SweepKernel, "absorbance", recorded):
             tr = inhomogeneous_spectrum(lambda_spec, InhomogeneitySpec(
                 fwhm=presets.SIM_FWHM, n_samples=101), grid)
-        assert chunks == [(301, 2, True)] * 20 + [(301, 1, True)]
+        step = max(1, spectra._POINTS // 301)
+        full, rest = divmod(41, step)
+        assert chunks == [(301, step, True)] * full + [(301, rest, True)] * (rest > 0)
         assert np.abs(tr.absorbance - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_memory_of_one_two_photon_chunk(self):
-        # One chunk of the fig5 sweep factorised per two-photon point:
-        # max(1, 16 * 226 // 1001) = 3 points x 1001 shifts, no more points
-        # than the 16-shift chunk of test_memory_of_one_chunk.
+        # A chunk of the fig5 sweep factorised per two-photon point: 3 points
+        # x 1001 shifts, no more points than the 16 shifts x 226 points of
+        # test_memory_of_one_chunk.
         spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
         kernel = _SweepKernel(spec)
         grid = np.linspace(-2e7, 2.5e7, 226)[:3]
@@ -339,7 +358,7 @@ class TestSweepKernel:
         assert peak < 12 * 2**20
 
     def test_memory_of_one_chunk(self):
-        # One 16-shift chunk of the fig5 sweep.  A batched LU of every point
+        # 16 shifts x 226 points of the fig5 sweep.  A batched LU of every point
         # fills a (16, 226, 25, 25) array, about 37 MB.
         spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
         kernel = _SweepKernel(spec)
@@ -353,6 +372,35 @@ class TestSweepKernel:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("shifts, points, per_delta", [(1, 41, False), (301, 3, True)])
+    def test_tiles_split_a_long_line(self, lambda_spec, monkeypatch, shifts, points, per_delta):
+        # At 16 points to a tile, one shift x 41 points goes per shift in
+        # tiles of 16, 16 and 9 points, and 301 shifts x 3 points per
+        # two-photon point in tiles of one point by up to 16 shifts.
+        monkeypatch.setattr(spectra, "_POINTS", 16)
+        kernel = _SweepKernel(lambda_spec)
+        deltas = np.linspace(-3e7, 5e7, shifts)
+        grid = np.linspace(-1e7, 1e7, points)
+        assert kernel.per_delta(shifts, points) == per_delta
+        whole = kernel.absorbance(deltas, grid, per_delta)
+        tiles = []
+        absorbance = _SweepKernel.absorbance
+
+        def recorded(self, d, t, orientation=None):
+            tiles.append((len(d), len(t), orientation))
+            return absorbance(self, d, t, orientation)
+
+        with mock.patch.object(_SweepKernel, "absorbance", recorded):
+            rows = spectra._sweep_rows(kernel, deltas, grid, workers=1)
+        if per_delta:
+            assert tiles == [(16, 1, True)] * 54 + [(13, 1, True)] * 3
+        else:
+            assert tiles == [(1, 16, False), (1, 16, False), (1, 9, False)]
+        # The same steps per point, but a matrix product may round one
+        # point differently at another batch size.
+        assert np.abs(rows - whole).max() <= 1e-13 * np.abs(whole).max()
+        assert np.array_equal(rows, spectra._sweep_rows(kernel, deltas, grid, workers=3))
 
     @pytest.mark.parametrize("shifts, points, per_delta", [(16, 226, False), (1001, 3, True)])
     def test_memory_of_one_real_basis_chunk(self, shifts, points, per_delta):
@@ -433,10 +481,12 @@ class TestSweepKernel:
            fwhm=st.floats(1e8, 1e10), workers=st.sampled_from([2, 3, 8]))
     def test_worker_count_bit_identical_on_random_models(self, seed, few, many, fwhm, workers):
         # Two ensembles per model, sized so that each runs in its own sweep
-        # orientation and in more than one chunk: 17-21 shifts (16 to a
-        # chunk) by at least as many two-photon points goes per shift, and
-        # 17-61 shifts by 2-8 points per point.  Small, because a model
-        # whose lines fall back is solved point by point.
+        # orientation: 17-21 shifts by at least as many two-photon points
+        # goes per shift, and 17-61 shifts by 2-8 points per point.  At 12
+        # points to a tile each spans several tiles, with its closed-form
+        # axis (two-photon points per shift, shifts per point) split.
+        # Small, because a model whose lines fall back is solved point by
+        # point.
         spec = random_model(np.random.default_rng(seed))
         n_shift = 17 + 2 * (many % 3)
         sizes = {False: (n_shift, n_shift + few), True: (17 + 2 * many, 2 + few)}
@@ -444,16 +494,19 @@ class TestSweepKernel:
         for per_delta, (n_samples, n_tp) in sizes.items():
             inhom = InhomogeneitySpec(fwhm=fwhm, n_samples=n_samples, auto_dense=False)
             grid = np.linspace(-1e8, 1e8, n_tp)
-            chunks = []
+            chunks, closed = [], []
 
             def recorded(self, d, t, orientation=None):
                 chunks.append(orientation)
+                closed.append(len(d) if orientation else len(t))
                 return absorbance(self, d, t, orientation)
 
-            with mock.patch.object(_SweepKernel, "absorbance", recorded):
-                ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
+            with mock.patch.object(spectra, "_POINTS", 12):
+                with mock.patch.object(_SweepKernel, "absorbance", recorded):
+                    ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
+                other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
             assert len(chunks) > 1 and set(chunks) == {per_delta}
-            other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
+            assert max(closed) < (n_samples if per_delta else n_tp)
             assert np.array_equal(ref, other)
 
 
@@ -539,9 +592,14 @@ class TestInhomogeneous:
         nan, inf = float("nan"), float("inf")
         for kw in ({"fwhm": -1.0}, {"fwhm": nan}, {"fwhm": inf},
                    {"fwhm": 1e9, "n_samples": 2}, {"fwhm": 1e9, "truncation": 0.0},
-                   {"fwhm": 1e9, "truncation": nan}, {"fwhm": 1e9, "truncation": inf}):
+                   {"fwhm": 1e9, "truncation": nan}, {"fwhm": 1e9, "truncation": inf},
+                   {"fwhm": 1e9, "dense_step": 0.0}, {"fwhm": 1e9, "dense_step": -0.5},
+                   {"fwhm": 1e9, "dense_step": inf}, {"fwhm": 1e9, "dense_halfwidth": nan},
+                   {"fwhm": 1e9, "dense_halfwidth": 0.0}, {"fwhm": 1e9, "dense_halfwidth": inf},
+                   {"fwhm": 1e9, "n_samples": 3.0}, {"fwhm": 1e9, "n_samples": True}):
             with pytest.raises(ValueError):
                 InhomogeneitySpec(**kw)
+        assert InhomogeneitySpec(fwhm=1e9, n_samples=np.int64(3)).n_samples == 3
 
     def test_shift_weights_normalized(self, lambda_spec):
         for fwhm in (0.0, 1e8, 140e9):
