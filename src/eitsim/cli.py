@@ -421,11 +421,22 @@ PRESETS = {
 }
 
 
+def _worker_count(text: str) -> int:
+    """--workers: a whole number of threads, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return value
+
+
 _FLAGS = {
     "--config": {"help": "JSON config file"},
     "--preset": {"help": "named figure-reproduction bundle"},
     "--out": {"default": ".", "help": "output directory"},
-    "--workers": {"type": int, "default": 1},
+    "--workers": {"type": _worker_count, "default": 1},
     "--check-convergence": {"action": "store_true"},
 }
 

@@ -44,24 +44,6 @@ class Liouvillian:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
 
-def _basis_op(n: int, i: int, j: int) -> np.ndarray:
-    op = np.zeros((n, n))
-    op[i, j] = 1.0
-    return op
-
-
-def _dissipator(jump: np.ndarray) -> np.ndarray:
-    """kron-form dissipator L rho Ld - (Ld L rho + rho Ld L)/2."""
-    n = jump.shape[0]
-    eye = np.eye(n)
-    ldl = jump.conj().T @ jump
-    return (
-        np.kron(jump.conj(), jump)
-        - 0.5 * np.kron(eye, ldl)
-        - 0.5 * np.kron(ldl.T, eye)
-    )
-
-
 def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
     """-i*2pi*(H rho - rho H) in kron form, H in Hz."""
     n = h.shape[0]
@@ -81,19 +63,21 @@ def dissipator_superoperator(
     the source population decays at G and its coherences at G/2.
     Dephasing (level l, rate g): jump sqrt(2pi*2*g) |l><l|, so any coherence
     rho_lm with m undephased decays at exactly g.
+    By index: each nonzero-rate channel s -> t at rate r (a dephasing is
+    s = t = l, r = 2g) adds 2pi*r to the feed entry [t(n+1), s(n+1)] and to
+    level s's outflow out_s; each diagonal entry i + n*j loses (out_i + out_j)/2.
     """
     idx = {lbl: k for k, lbl in enumerate(labels)}
+    channels = [(ch.source, ch.target, ch.rate) for ch in decays]
+    channels += [(dp.level, dp.level, 2.0 * dp.rate) for dp in dephasings]
     out = np.zeros((n * n, n * n), dtype=complex)
-    for ch in decays:
-        if ch.rate == 0.0:
-            continue
-        jump = np.sqrt(TWO_PI * ch.rate) * _basis_op(n, idx[ch.target], idx[ch.source])
-        out += _dissipator(jump)
-    for dp in dephasings:
-        if dp.rate == 0.0:
-            continue
-        jump = np.sqrt(TWO_PI * 2.0 * dp.rate) * _basis_op(n, idx[dp.level], idx[dp.level])
-        out += _dissipator(jump)
+    outflow = np.zeros(n)
+    for source, target, rate in channels:
+        if rate != 0.0:
+            s = idx[source]
+            out[idx[target] * (n + 1), s * (n + 1)] += TWO_PI * rate
+            outflow[s] += TWO_PI * rate
+    out[np.diag_indices(n * n)] -= 0.5 * np.add.outer(outflow, outflow).ravel()
     return out
 
 

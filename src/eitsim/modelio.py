@@ -185,6 +185,8 @@ def read_trace_csv(path):
             delta.append(values[0])
             signal.append(values[1])
             sigma += values[2:]
+    if not delta:
+        raise ModelFormatError(f"{path}: no data rows")
     if np.any(np.diff(delta) <= 0):
         raise ModelFormatError(f"{path}: delta_hz must be strictly increasing")
     return (

@@ -72,6 +72,13 @@ class InhomogeneitySpec:
     auto_dense: bool = True
 
     def __post_init__(self):
+        for name in ("fwhm", "truncation", "dense_halfwidth", "dense_step"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.auto_dense, (bool, np.bool_)):
+            raise ValueError(f"auto_dense must be a bool, got {self.auto_dense!r}")
         if not 0.0 <= self.fwhm < np.inf:
             raise ValueError("fwhm must be finite and >= 0")
         if (not isinstance(self.n_samples, (int, np.integer)) or isinstance(self.n_samples, bool)

@@ -199,6 +199,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "x"])
+    def test_workers_below_one_rejected(self, workers, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--preset", "fig3a", "--out", str(out), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"argument --workers: must be a whole number >= 1, got '{workers}'" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestPresets:
     def test_listing(self, capsys):
@@ -397,6 +407,15 @@ class TestFit:
         (tmp_path / "obs.csv").write_text("delta_hz,signal\n0.0,1.0\n1.0\n")
         assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_header_only_trace_csv(self, tmp_path, capsys):
+        cfg = self.make_fixture(tmp_path)
+        (tmp_path / "obs.csv").write_text("delta_hz,signal\n")
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: traces[0].csv: " in err and "no data rows" in err
+        assert not out.exists()
 
     def test_nonconvergence_exit_code(self, tmp_path, monkeypatch):
         cfg = self.make_fixture(tmp_path)

@@ -25,6 +25,7 @@ from eitsim.model import (
     LevelSystemSpec,
 )
 from eitsim.spectra import InhomogeneitySpec, homogeneous_spectrum, inhomogeneous_spectrum
+from test_spectra import random_model
 
 
 class TestBuild:
@@ -82,6 +83,40 @@ class TestBuild:
             n, labels, decays=b
         )
         assert np.allclose(full, split)
+
+    @staticmethod
+    def jump_form(n, labels, decays, dephasings, rho):
+        """sum_k L_k rho L_k^dag - {L_k^dag L_k, rho}/2 by n x n products."""
+        idx = {lbl: k for k, lbl in enumerate(labels)}
+        jumps = [(ch.target, ch.source, ch.rate) for ch in decays if ch.rate]
+        jumps += [(dp.level, dp.level, 2.0 * dp.rate) for dp in dephasings if dp.rate]
+        out = np.zeros((n, n), dtype=complex)
+        for t, s, rate in jumps:
+            jump = np.zeros((n, n))
+            jump[idx[t], idx[s]] = np.sqrt(TWO_PI * rate)
+            ldl = jump.T @ jump
+            out += jump @ rho @ jump.T - 0.5 * (ldl @ rho + rho @ ldl)
+        return out
+
+    def test_dissipator_matches_jump_operators(self):
+        lam = presets.three_level_lambda()  # g2 both decays and dephases
+        models = [lam, presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)]
+        models += [random_model(np.random.default_rng(seed)) for seed in range(12)]
+        # zero-rate channels add nothing and name no level that is looked up
+        cases = [(m.n_levels, m.labels, m.decays, m.dephasings) for m in models] + [(
+            3, lam.labels,
+            lam.decays + (DecayChannel("g1", "e2", 0.0), DecayChannel("x", "y", 0.0)),
+            lam.dephasings + (Dephasing("e2", 0.0), Dephasing("g1", 3e5), Dephasing("x", 0.0)),
+        )]
+        rng = np.random.default_rng(11)
+        for n, labels, decays, dephasings in cases:
+            d = dissipator_superoperator(n, labels, decays, dephasings)
+            for _ in range(3):
+                a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+                rho = 0.5 * (a + a.conj().T)
+                want = self.jump_form(n, labels, decays, dephasings, rho)
+                got = (d @ rho.ravel(order="F")).reshape((n, n), order="F")
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(d).max(), labels
 
     def test_hamiltonian_part_antihermitian_in_superspace(self):
         h = np.array([[1.0, 0.5], [0.5, -2.0]], dtype=complex)

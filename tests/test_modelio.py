@@ -159,6 +159,10 @@ class TestTraceCsv:
         path.write_text("")
         with pytest.raises(ModelFormatError, match="empty"):
             read_trace_csv(path)
+        for text in ("delta_hz,signal\n", "delta_hz,signal,sigma\n\n"):
+            path.write_text(text)
+            with pytest.raises(ModelFormatError, match="no data rows"):
+                read_trace_csv(path)
 
 
 class TestMapCsv:

@@ -596,10 +596,20 @@ class TestInhomogeneous:
                    {"fwhm": 1e9, "dense_step": 0.0}, {"fwhm": 1e9, "dense_step": -0.5},
                    {"fwhm": 1e9, "dense_step": inf}, {"fwhm": 1e9, "dense_halfwidth": nan},
                    {"fwhm": 1e9, "dense_halfwidth": 0.0}, {"fwhm": 1e9, "dense_halfwidth": inf},
-                   {"fwhm": 1e9, "n_samples": 3.0}, {"fwhm": 1e9, "n_samples": True}):
+                   {"fwhm": 1e9, "n_samples": 3.0}, {"fwhm": 1e9, "n_samples": True},
+                   {"fwhm": True}, {"fwhm": "1e9"}, {"fwhm": None},
+                   {"fwhm": 1e9, "truncation": True}, {"fwhm": 1e9, "truncation": "4"},
+                   {"fwhm": 1e9, "dense_halfwidth": np.bool_(True)},
+                   {"fwhm": 1e9, "dense_halfwidth": [50.0]}, {"fwhm": 1e9, "dense_step": True},
+                   {"fwhm": 1e9, "dense_step": "0.5"}, {"fwhm": 1e9, "auto_dense": "no"},
+                   {"fwhm": 1e9, "auto_dense": 0}, {"fwhm": 1e9, "auto_dense": None}):
             with pytest.raises(ValueError):
                 InhomogeneitySpec(**kw)
         assert InhomogeneitySpec(fwhm=1e9, n_samples=np.int64(3)).n_samples == 3
+        ok = InhomogeneitySpec(fwhm=np.float64(1e9), truncation=4, dense_halfwidth=np.int64(50),
+                               dense_step=np.float64(0.5), auto_dense=np.bool_(False))
+        assert (ok.fwhm, ok.truncation, ok.dense_halfwidth, ok.dense_step) == (1e9, 4, 50, 0.5)
+        assert InhomogeneitySpec(fwhm=0).sigma == 0.0
 
     def test_shift_weights_normalized(self, lambda_spec):
         for fwhm in (0.0, 1e8, 140e9):
