@@ -310,6 +310,8 @@ def cmd_fit(args) -> int:
         "offsets": result.offsets.tolist(),
         "warnings": result.warnings,
         "degenerate_pairs": ident.degenerate_pairs,
+        "nfev": result.nfev,
+        "njev": result.njev,
     }
     doc.update(_meta(cfg, args))
     with open(out / "fit.json", "w") as fh:

@@ -14,7 +14,10 @@ two-photon point when an ensemble has enough shift samples to make that
 cheaper, by a cost read from the model's and the grid's sizes (see
 _SweepKernel).  It sweeps the grid in tiles of at most _POINTS points (see
 _sweep_rows) and averages ensembles by a fixed-order weighted reduction, so
-results are bit-identical for any worker count.
+results are bit-identical for any worker count.  For a fit the same pass also
+gives the gradient of the average with respect to parameters that enter the
+generator affinely, by one adjoint row per point from the same factors (see
+_SweepKernel._lines).
 """
 
 from __future__ import annotations
@@ -239,7 +242,9 @@ class _SweepKernel:
     against its own B(u, v) is checked.  A line that fails the check or has
     an ill-conditioned W, and every line of a call whose factorisation fails,
     is solved point by point by steady_state.  The absorbance is read from
-    the Im rho_ge coordinate of each probe coupling.
+    the Im rho_ge coordinate of each probe coupling.  Given the derivatives
+    of a0 with respect to some parameters, absorbance() also returns the
+    gradient of a weighted average over the shifts (see _lines).
 
     The two orientations are per shift (u = d, v = t, S = P) and per
     two-photon point (u = t, v = d, S = Q).  For m = len(a0), n_d shifts and
@@ -319,21 +324,54 @@ class _SweepKernel:
         ])
 
     def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray,
-                   per_delta: bool | None = None) -> np.ndarray:
+                   per_delta: bool | None = None, blocks: np.ndarray | None = None,
+                   weights: np.ndarray | None = None):
         """Absorbance on the grid deltas x two_photons, shape (nd, nt),
         factorised per two-photon point if per_delta, else per shift; None
-        picks the cheaper orientation for this grid."""
+        picks the cheaper orientation for this grid.
+
+        With blocks, the derivatives (K, m, m) of a0 with respect to K
+        parameters, and weights over deltas, it returns (absorbance,
+        gradient), where gradient (K, nt) is the derivative of weights @
+        absorbance; the absorbance is the same either way.
+        """
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
         if per_delta is None:
             per_delta = self.per_delta(len(deltas), len(two_photons))
-        if per_delta:
-            return self._lines(two_photons, deltas, True).T
-        return self._lines(deltas, two_photons, False)
+        if not per_delta:
+            return self._lines(deltas, two_photons, False, blocks, weights)
+        out = self._lines(two_photons, deltas, True, blocks, weights)
+        return out.T if blocks is None else (out[0].T, out[1])
 
-    def _lines(self, us: np.ndarray, vs: np.ndarray, per_delta: bool) -> np.ndarray:
+    def _dense_line(self, a_u: np.ndarray, s: slice, v_block: np.ndarray,
+                    vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x = B^-1 e_0 and the adjoint row c B^-1 at every point of one line,
+        by one batched dense solve of B and B^T, for a line the pole form did
+        not take."""
+        b = np.broadcast_to(a_u, (len(vs),) + a_u.shape).copy()
+        b[:, s, s] += vs[:, None, None] * v_block
+        rhs = np.zeros((2, len(vs), len(a_u)))
+        rhs[0, :, 0] = 1.0
+        rhs[1][:, self.probe_idx] = self.probe_w
+        x, adj = np.linalg.solve(np.stack([b, b.swapaxes(1, 2)]), rhs[..., None])[..., 0]
+        return x, adj
+
+    def _lines(self, us: np.ndarray, vs: np.ndarray, per_delta: bool,
+               blocks: np.ndarray | None = None, weights: np.ndarray | None = None):
         """Absorbance of B(u, v) for u in us (factorised) and v in vs (closed
-        form), shape (len(us), len(vs))."""
+        form), shape (len(us), len(vs)); with blocks also the gradient of
+        absorbance(..., blocks, weights).
+
+        The derivative of one point's absorbance c x, B x = e_0, along a
+        block A_k is -adj A_k x, with the adjoint row adj = c B^-1, which the
+        transpose of the pole form gives from the same factors:
+
+            adj(u, v) = c A_u^-1 - Re((c A_u^-1)_S W [v / (1 + v lam)] W^-1 V_SS) (A_u^-1)_S:.
+
+        So the weighted gradient at two-photon point t is -<G(t), A_k>, with
+        G(t) = sum_d w_d adj(d, t)^T x(d, t).
+        """
         if per_delta:
             u_block, u_idx, v_block, v_idx = (self.tp_block, self.tp_idx,
                                               self.delta_block, self.delta_idx)
@@ -351,7 +389,12 @@ class _SweepKernel:
         try:
             ainv, w, winv_v, lam, cond = self._resolvent(a, s, v_block)
         except np.linalg.LinAlgError:
-            return np.array([point_line(k) for k in range(len(us))])
+            out = np.array([point_line(k) for k in range(len(us))])
+            if blocks is None:
+                return out
+            shape = (len(us), len(vs), len(self.a0))
+            return out, self._gradient(a, s, v_block, vs, np.empty(shape), np.empty(shape),
+                                       range(len(us)), blocks, weights, per_delta)
         v = vs[:, None]
         poles = v * lam[:, None, :]  # v / (1 + v lam), (nu, nv, |S|), in place
         poles += 1.0
@@ -392,20 +435,56 @@ class _SweepKernel:
         ok = np.abs(residual(x)).reshape(len(us), -1).max(axis=1) <= tol
         ok &= cond <= _MAX_COND_W
         out = x[..., self.probe_idx] @ self.probe_w
-        for k in np.flatnonzero(~ok):
+        failed = np.flatnonzero(~ok)
+        for k in failed:
             out[k] = point_line(k)
-        return out
+        if blocks is None:
+            return out
+        # The adjoint rows of the docstring, in the real forms of solve():
+        # r @ row_form is Re(r W^-1 V_SS).
+        c_ainv = self.probe_w @ ainv[:, self.probe_idx]  # c A_u^-1, (nu, m)
+        r = (c_ainv[:, None, s] @ w) * poles
+        row_form = np.ascontiguousarray(np.ascontiguousarray(
+            winv_v.swapaxes(1, 2).conj(), complex).view(float).swapaxes(1, 2))
+        adj = (r.view(float) @ row_form) @ ainv[:, s]
+        np.subtract(c_ainv[:, None], adj, out=adj)
+        return out, self._gradient(a, s, v_block, vs, x, adj, failed, blocks, weights,
+                                   per_delta)
+
+    def _gradient(self, a, s, v_block, vs, x, adj, failed, blocks, weights,
+                  per_delta) -> np.ndarray:
+        """-<G(t), A_k> for each block A_k, shape (K, nt), from the states x
+        and adjoint rows adj of every line; the failed lines' are first
+        replaced by dense solves."""
+        for k in failed:
+            x[k], adj[k] = self._dense_line(a[k], s, v_block, vs)
+        if per_delta:  # lines are two-photon points, shifts run along v
+            g = (adj * weights[:, None]).swapaxes(1, 2) @ x
+        else:
+            g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
+        return -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T)
+
+
+def _check_workers(workers) -> None:
+    """Raise ValueError unless workers is an integer >= 1 (not a bool)."""
+    if (not isinstance(workers, (int, np.integer)) or isinstance(workers, bool)
+            or workers < 1):
+        raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
 
 
 def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
-                workers: int) -> np.ndarray:
-    """Absorbance rows for each shift sample, computed tile by tile.
+                workers: int, blocks: np.ndarray | None = None,
+                weights: np.ndarray | None = None):
+    """Absorbance rows for each shift sample, computed tile by tile; with
+    blocks and weights, also the gradient of weights @ rows (see
+    _SweepKernel.absorbance).
 
     A tile takes up to _POINTS values of the closed-form axis and
     max(1, _POINTS // its length) values of the factorised axis, so it holds
     at most _POINTS points and its memory does not grow with the grid.  Tile
-    boundaries are independent of the worker count, and results are written
-    back by index, so the output is bit-identical for any number of workers.
+    boundaries are independent of the worker count, results are written
+    back by index and the tiles' gradients are summed in tile order, so the
+    output is bit-identical for any number of workers.
     """
     deltas = np.asarray(deltas, dtype=float)
     per_delta = kernel.per_delta(len(deltas), len(tp_grid))
@@ -413,11 +492,17 @@ def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
     factored = max(1, _POINTS // max(closed, 1))
     sd, st = (_POINTS, factored) if per_delta else (factored, _POINTS)
     out = np.empty((len(deltas), len(tp_grid)))
+    grads = {}
 
     def run(tile):
         a, b = tile
-        out[a : a + sd, b : b + st] = kernel.absorbance(
-            deltas[a : a + sd], tp_grid[b : b + st], per_delta)
+        if blocks is None:
+            out[a : a + sd, b : b + st] = kernel.absorbance(
+                deltas[a : a + sd], tp_grid[b : b + st], per_delta)
+        else:
+            out[a : a + sd, b : b + st], grads[tile] = kernel.absorbance(
+                deltas[a : a + sd], tp_grid[b : b + st], per_delta, blocks,
+                weights[a : a + sd])
 
     tiles = [(a, b) for a in range(0, len(deltas), sd) for b in range(0, len(tp_grid), st)]
     if workers > 1 and len(tiles) > 1:
@@ -426,7 +511,24 @@ def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
     else:
         for tile in tiles:
             run(tile)
-    return out
+    if blocks is None:
+        return out
+    grad = np.zeros((len(blocks), len(tp_grid)))
+    for a, b in tiles:
+        grad[:, b : b + st] += grads[a, b]
+    return out, grad
+
+
+def _ensemble(kernel: _SweepKernel, tp_grid: np.ndarray, shift_grid, workers: int,
+              blocks: np.ndarray | None = None):
+    """weights @ rows over shift_grid = (shifts, weights); with blocks,
+    (average, gradient) as _sweep_rows gives them."""
+    shifts, weights = shift_grid
+    weights = np.asarray(weights, float)
+    if blocks is None:
+        return weights @ _sweep_rows(kernel, shifts, tp_grid, workers)
+    rows, grad = _sweep_rows(kernel, shifts, tp_grid, workers, blocks, weights)
+    return weights @ rows, grad
 
 
 def homogeneous_spectrum(
@@ -436,6 +538,7 @@ def homogeneous_spectrum(
     workers: int = 1,
 ) -> SpectrumTrace:
     """Steady-state probe absorption vs two-photon detuning at one shift."""
+    _check_workers(workers)
     kernel = _SweepKernel(spec)
     rows = _sweep_rows(kernel, np.array([control_detuning]), np.asarray(delta_grid, float), workers)
     return SpectrumTrace(
@@ -497,19 +600,16 @@ def inhomogeneous_spectrum(
     this to keep the integration grid fixed while decay rates vary, since the
     automatic dense tier scales with the homogeneous linewidth.
     """
+    _check_workers(workers)
     tp_grid = np.asarray(delta_grid, dtype=float)
     kernel = _SweepKernel(spec)
     linewidth = homogeneous_linewidth(spec)
-
-    def average(shifts, weights) -> np.ndarray:
-        return np.asarray(weights, float) @ _sweep_rows(kernel, shifts, tp_grid, workers)
-
     if shift_grid is None:
         shift_grid = shift_samples(inhom, linewidth)
-    absorbance = average(*shift_grid)
+    absorbance = _ensemble(kernel, tp_grid, shift_grid, workers)
     if check_convergence:
-        refined = average(*shift_samples(
-            replace(inhom, n_samples=2 * inhom.n_samples + 1), linewidth))
+        refined = _ensemble(kernel, tp_grid, shift_samples(
+            replace(inhom, n_samples=2 * inhom.n_samples + 1), linewidth), workers)
         tol = 0.005 * np.abs(absorbance).max()
         if np.abs(refined - absorbance).max() > tol:
             raise NonConvergedSampling(

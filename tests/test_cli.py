@@ -382,6 +382,9 @@ class TestFit:
         assert doc["converged"]
         assert doc["estimates_hz"]["gamma_e"] == pytest.approx(1e7, rel=0.05)
         assert doc["estimates_hz"]["gamma_g_star"] == pytest.approx(1e5, rel=0.05)
+        # the optimizer's counts: one Jacobian per accepted step at most
+        assert isinstance(doc["nfev"], int) and isinstance(doc["njev"], int)
+        assert 1 <= doc["njev"] <= doc["nfev"]
         assert (out / "residuals.csv").exists()
         rows = (out / "residuals.csv").read_text().strip().splitlines()
         assert len(rows) == 82  # header + 81 points

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from unittest import mock
 
-from eitsim import presets
+from hypothesis import given, settings, strategies as st
+
+from eitsim import presets, spectra
 from eitsim.fitting import (
     FitProblem,
     FreeParameter,
@@ -14,7 +17,13 @@ from eitsim.fitting import (
     fit,
     identifiability_report,
 )
-from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
+from eitsim.spectra import (
+    InhomogeneitySpec,
+    _SweepKernel,
+    homogeneous_spectrum,
+    inhomogeneous_spectrum,
+)
+from test_spectra import random_model
 
 INHOM = InhomogeneitySpec(fwhm=2e9, n_samples=101)
 GRID = np.linspace(-2e7, 2e7, 81)
@@ -134,6 +143,7 @@ class TestFit:
         )
         assert result.scales[0] == pytest.approx(3.0, rel=0.05)
         assert result.offsets[0] == pytest.approx(0.01, rel=0.05)
+        assert 1 <= result.njev <= result.nfev
         # the returned curve is the scaled, offset model the residual measures
         assert len(result.curves) == 1
         assert np.linalg.norm(trace.signal - result.curves[0]) == pytest.approx(
@@ -254,3 +264,210 @@ class TestIdentifiability:
         )
         report = identifiability_report(problem)
         assert report.degenerate_pairs == []
+
+
+def central_gradient(obj, t, x):
+    """Richardson-extrapolated central differences of trace t's model over
+    its slots, steps of 1e-3 and 5e-4 of each value."""
+
+    def diff(k, h):
+        hi, lo = x.copy(), x.copy()
+        hi[k] += h
+        lo[k] -= h
+        return (obj.model(t, hi)[0] - obj.model(t, lo)[0]) / (2.0 * h)
+
+    rows = []
+    for k in obj.slots[t]:
+        h = 1e-3 * abs(x[k])
+        rows.append((4.0 * diff(k, h / 2) - diff(k, h)) / 3.0)
+    return np.array(rows)
+
+
+def assert_gradient_matches(obj, x, per_slot=True, tol=1e-6):
+    """The gradient agrees with central differences on every trace, to tol of
+    each slot's own max |dA| if per_slot, else to tol of the largest
+    x_k |dA/dx_k| (a random model may have a parameter the spectrum does not
+    see); the value is inhomogeneous_spectrum's."""
+    for t, trace in enumerate(obj.traces):
+        value, grad = obj.model(t, x)
+        reference = inhomogeneous_spectrum(
+            obj.spec_for_trace(t, x), obj.problem.inhom, trace.delta_grid,
+            shift_grid=obj.shift_grid).absorbance
+        assert np.array_equal(value, reference)
+        cd = central_gradient(obj, t, x)
+        if per_slot:
+            for k in range(len(cd)):
+                assert np.abs(cd[k]).max() > 0.0, (t, k)
+                assert np.abs(grad[k] - cd[k]).max() <= tol * np.abs(cd[k]).max(), (t, k)
+        else:
+            scale = np.abs(x[obj.slots[t]])[:, None]
+            assert (np.abs(grad - cd) * scale).max() <= tol * (np.abs(cd) * scale).max()
+
+
+LAMBDA_PARAMETERS = (
+    FreeParameter("gamma_e", 1.1 * presets.GAMMA_E, 1e6, 3e7),
+    FreeParameter("gamma_g_star", 0.8 * presets.GAMMA_G_STAR, 1e3, 1e6),
+    FreeParameter("omega_c", 0.9 * presets.OMEGA_C, 1e5, 5e7),
+)
+
+
+class TestGradient:
+    """The model gradient the fit passes as jac=, against central
+    differences of the model itself, in both sweep orientations."""
+
+    @pytest.fixture(params=[False, True], ids=["per_shift", "per_delta"])
+    def orientation(self, request, monkeypatch):
+        monkeypatch.setattr(_SweepKernel, "per_delta", lambda self, nd, nt: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("inhom", [INHOM, InhomogeneitySpec(fwhm=0.0, n_samples=1)],
+                             ids=["ensemble", "fwhm0"])
+    def test_lambda(self, orientation, inhom):
+        problem = FitProblem(presets.three_level_lambda(), inhom, LAMBDA_PARAMETERS)
+        obj = _Objective([ObservedTrace(GRID, np.zeros(GRID.size))], problem)
+        assert_gradient_matches(obj, obj.x0)
+
+    def test_criterion_7_five_level(self, orientation):
+        # Criterion 7's model, ensemble and grid, one trace at 4 mW.
+        inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=201,
+                                  dense_halfwidth=30.0, dense_step=1.0)
+        grid = np.linspace(-1.5e7, 2.0e7, 141)
+        problem = FitProblem(
+            template=presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6),
+            inhom=inhom,
+            parameters=(
+                FreeParameter("gamma_e", 3.0e6, 0.5e6, 2e7),
+                FreeParameter("gamma_g_star", 0.3e6, 1e3, 2e6),
+                FreeParameter("omega_c", 8.0e6, 1e6, 5e7),
+            ),
+            rabi_power_scaling=True,
+        )
+        obj = _Objective([ObservedTrace(grid, np.zeros(grid.size), power=4e-3)], problem)
+        assert_gradient_matches(obj, obj.x0)
+
+    def test_per_trace_scaling_and_targeted_names(self, orientation):
+        # A per_trace rate, the sqrt(P) Rabi scaling on two powers, and the
+        # energy:, decay: and dephasing: paths (the last one created), on
+        # the five-level model: in a Lambda every level energy is a frame
+        # reference, which the generator does not see.
+        grid = np.linspace(-1.5e7, 2e7, 21)
+        problem = FitProblem(
+            template=presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6),
+            inhom=InhomogeneitySpec(fwhm=2e9, n_samples=31),
+            parameters=(
+                FreeParameter("gamma_e_deph", 2e6, 1e3, 3e7, per_trace=True),
+                FreeParameter("omega_c", 6e6, 1e5, 5e7),
+                FreeParameter("energy:g3", -8e6, -2e7, 0.0),
+                FreeParameter("energy:e3", 3e6, 0.0, 1e7),
+                FreeParameter("decay:e2->g1", 1e6, 1e5, 3e7),
+                FreeParameter("dephasing:g1", 3e4, 1e2, 1e6),
+            ),
+            rabi_power_scaling=True,
+        )
+        traces = [ObservedTrace(grid, np.zeros(grid.size), power=p) for p in (1e-3, 4e-3)]
+        obj = _Objective(traces, problem)
+        x = obj.x0 * np.linspace(0.97, 1.03, len(obj.x0))
+        assert_gradient_matches(obj, x)
+
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), per_delta=st.booleans())
+    def test_random_models(self, seed, per_delta):
+        spec = random_model(np.random.default_rng(seed))
+        decay = spec.decays[0]
+        names = ["gamma_e", f"decay:{decay.source}->{decay.target}", "dephasing:e0"]
+        names += ["omega_c"] if spec.control.couplings else ["omega_p"]
+        values = np.random.default_rng(seed).uniform(1e6, 1e7, len(names))
+        problem = FitProblem(
+            spec, InhomogeneitySpec(fwhm=1e9, n_samples=9, auto_dense=False),
+            tuple(FreeParameter(n, v, 1e2, 1e8) for n, v in zip(names, values)))
+        obj = _Objective([ObservedTrace(np.linspace(-1e8, 1e8, 7), np.zeros(7))], problem)
+        with mock.patch.object(_SweepKernel, "per_delta", lambda self, nd, nt: per_delta):
+            assert_gradient_matches(obj, obj.x0, per_slot=False)
+
+    def test_residual_jacobian(self):
+        # The profiled residuals' Jacobian against central differences of
+        # residuals(): two noisy traces with sigma, scale and offset, away
+        # from the optimum, so every variable-projection term counts.
+        spec = presets.three_level_lambda()
+        traces = []
+        for k, power in enumerate((1e-3, 4e-3)):
+            clean = generate(apply_parameter(spec, "omega_c", presets.OMEGA_C * 2**k),
+                             scale=3.0 - k, offset=0.01, noise=0.01, seed=k)
+            sigma = np.linspace(1.0, 2.0, GRID.size) * 1e-3
+            traces.append(ObservedTrace(GRID, clean.signal, sigma, power))
+        problem = FitProblem(spec, INHOM, LAMBDA_PARAMETERS, rabi_power_scaling=True)
+        obj = _Objective(traces, problem)
+        x = obj.x0 * 1.2
+        jac = obj.jacobian(x)
+        cols = []
+        for k in range(len(x)):
+            def diff(h):
+                hi, lo = x.copy(), x.copy()
+                hi[k] += h
+                lo[k] -= h
+                return (obj.residuals(hi) - obj.residuals(lo)) / (2.0 * h)
+            h = 1e-3 * x[k]
+            cols.append((4.0 * diff(h / 2) - diff(h)) / 3.0)
+        cd = np.array(cols).T
+        assert (np.abs(jac - cd).max(axis=0) <= 1e-6 * np.abs(cd).max(axis=0)).all()
+
+    def test_worker_count_bit_identical(self):
+        # Tiles of 12 points: 31 shifts x 9 points span 31 tiles of one shift
+        # per shift, and 27 tiles of at most 12 shifts per point, so the
+        # gradient is a sum over shift tiles in both orientations.
+        inhom = InhomogeneitySpec(fwhm=2e9, n_samples=31, auto_dense=False)
+        grid = np.linspace(-2e7, 2e7, 9)
+        grads = {}
+        for per_delta in (False, True):
+            for workers in (1, 3, 8):
+                problem = FitProblem(presets.three_level_lambda(), inhom, LAMBDA_PARAMETERS,
+                                     workers=workers)
+                obj = _Objective([ObservedTrace(grid, np.zeros(grid.size))], problem)
+                with mock.patch.object(spectra, "_POINTS", 12), mock.patch.object(
+                        _SweepKernel, "per_delta", lambda self, nd, nt: per_delta):
+                    grads[per_delta, workers] = obj.model(0, obj.x0)
+        for per_delta in (False, True):
+            value, grad = grads[per_delta, 1]
+            for workers in (3, 8):
+                assert np.array_equal(grads[per_delta, workers][0], value)
+                assert np.array_equal(grads[per_delta, workers][1], grad)
+        assert np.abs(grads[True, 1][1] - grads[False, 1][1]).max() <= (
+            1e-9 * np.abs(grads[False, 1][1]).max())
+
+
+class TestAffinity:
+    # Every name apply_parameter supports, on the five-level model (g3 and e3
+    # are the levels whose energies are not frame references); omega_c also
+    # through the sqrt(P) scaling of a 4 mW trace, and gamma_e_deph and
+    # dephasing:g1 where they are created.
+    @pytest.mark.parametrize("name,scaled", [
+        ("gamma_e", False), ("gamma_g", False), ("gamma_g_star", False),
+        ("gamma_e_deph", False), ("omega_c", False), ("omega_c", True), ("omega_p", False),
+        ("energy:g3", False), ("energy:e3", False), ("decay:e2->g1", False),
+        ("dephasing:g2", False), ("dephasing:g1", False),
+    ])
+    def test_generator_is_affine(self, name, scaled):
+        template = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        problem = FitProblem(template, INHOM,
+                             (FreeParameter(name, 1.0, 0.0, 1e10),),
+                             rabi_power_scaling=scaled)
+        obj = _Objective([ObservedTrace(GRID, np.zeros(GRID.size), power=4e-3)], problem)
+        a0 = [_SweepKernel(obj.spec_for_trace(0, np.array([v]))).a0
+              for v in (3e6, 7e6, 2.3e7)]
+        assert np.abs(a0[2] - a0[0]).max() > 0.0
+        predicted = (2.3e7 - 3e6) / (7e6 - 3e6) * (a0[1] - a0[0])
+        assert np.abs(a0[2] - a0[0] - predicted).max() <= 1e-14 * np.abs(a0[2]).max()
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True, None])
+def test_workers_must_be_a_whole_number(lambda_spec, workers):
+    grid = np.linspace(-1e7, 1e7, 5)
+    calls = [
+        lambda: homogeneous_spectrum(lambda_spec, 0.0, grid, workers=workers),
+        lambda: inhomogeneous_spectrum(lambda_spec, INHOM, grid, workers=workers),
+        lambda: FitProblem(lambda_spec, INHOM, LAMBDA_PARAMETERS, workers=workers),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="workers"):
+            call()
+    assert FitProblem(lambda_spec, INHOM, LAMBDA_PARAMETERS, workers=np.int64(2)).workers == 2

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from eitsim import presets
 from eitsim import spectra
+from eitsim.fitting import apply_parameter
 from eitsim.lindblad import _bordered_system, build_liouvillian, liouvillian_for, steady_state
 from eitsim.model import (
     Coupling,
@@ -298,6 +299,61 @@ class TestSweepKernel:
                 assert np.array_equal(cols[:, k], single)
             else:
                 assert np.array_equal(cols[:, k], clean[:, k])
+
+    @pytest.mark.parametrize("per_delta", [False, True], ids=["per_shift", "per_delta"])
+    @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
+    def test_failed_line_gradient(self, lambda_spec, monkeypatch, poison, per_delta):
+        # Line 1 fails as in the two *_is_solved_point_by_point tests: its
+        # value stays _point_row's bit for bit, and its gradient, from a
+        # dense solve of B and B^T, matches central differences.
+        lines, points = np.array([-1e7, 2e6, 1e7]), np.linspace(-1e8, 1e8, 21)
+        shifts, grid = (points, lines) if per_delta else (lines * 3, points / 10)
+        weights = np.exp(-0.5 * (shifts / 6e7) ** 2)
+        names, x0 = ("gamma_e", "omega_c"), np.array([9e6, 4e6])
+
+        def kernel_at(x):
+            spec = lambda_spec
+            for name, value in zip(names, x):
+                spec = apply_parameter(spec, name, value)
+            return _SweepKernel(spec)
+
+        kernel = kernel_at(x0)
+        blocks = np.array([(kernel_at(x0 + 1e6 * np.eye(2)[k]).a0 - kernel.a0) / 1e6
+                           for k in range(2)])
+        clean = kernel.absorbance(shifts, grid, per_delta, blocks, weights)
+        resolvent = _SweepKernel._resolvent
+
+        def poisoned(self, a, *axis):
+            if poison == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            ainv, gw, winv, lam, cond = resolvent(self, a, *axis)
+            if poison == "residual":
+                ainv[1] = np.nan
+            else:
+                cond[1] = np.inf
+            return ainv, gw, winv, lam, cond
+
+        monkeypatch.setattr(_SweepKernel, "_resolvent", poisoned)
+        rows, grad = kernel.absorbance(shifts, grid, per_delta, blocks, weights)
+        if per_delta:
+            single = [probe_absorption(steady_state(liouvillian_for(
+                kernel.spec, DetuningPoint(d, grid[1]))), kernel.spec) for d in shifts]
+            assert np.array_equal(rows[:, 1], single)
+        else:
+            assert np.array_equal(rows[1], point_by_point(kernel.spec, shifts[1], grid))
+        for k in range(2):
+            h = 1e-3 * x0[k]
+
+            def average(sign, h):
+                return weights @ kernel_at(x0 + sign * h * np.eye(2)[k]).absorbance(
+                    shifts, grid, per_delta)
+
+            def diff(h):
+                return (average(1, h) - average(-1, h)) / (2 * h)
+
+            cd = (4 * diff(h / 2) - diff(h)) / 3
+            assert np.abs(grad[k] - cd).max() <= 1e-6 * np.abs(cd).max()
+            assert np.abs(grad[k] - clean[1][k]).max() <= 1e-9 * np.abs(cd).max()
 
     def test_cost_rule_picks_the_cheaper_orientation(self):
         lam = _SweepKernel(presets.three_level_lambda())
