@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets
-from .fitting import (FitProblem, FreeParameter, ObservedTrace, apply_parameter, fit,
-                      identifiability_report)
+from .fitting import FitProblem, FreeParameter, ObservedTrace, apply_parameter, fit
 from .model import validate_system
 from .modelio import (
     ModelFormatError,
@@ -293,7 +292,6 @@ def cmd_fit(args) -> int:
         power_ref=_number(cfg, "power_ref_mw", "", 1.0, low=0.0, above=True) * 1e-3,
         workers=args.workers,
     )
-    ident = identifiability_report(problem, traces)
     result = fit(traces, problem)
 
     out = Path(args.out)
@@ -309,7 +307,7 @@ def cmd_fit(args) -> int:
         "scales": result.scales.tolist(),
         "offsets": result.offsets.tolist(),
         "warnings": result.warnings,
-        "degenerate_pairs": ident.degenerate_pairs,
+        "degenerate_pairs": result.degenerate_pairs,
         "nfev": result.nfev,
         "njev": result.njev,
     }

@@ -25,7 +25,7 @@ from .model import Coupling, DecayChannel, Dephasing, DriveField, LevelSystemSpe
 from .spectra import (
     InhomogeneitySpec,
     _check_workers,
-    _ensemble,
+    _sweep,
     _SweepKernel,
     homogeneous_linewidth,
     shift_samples,
@@ -103,6 +103,8 @@ class FitResult:
     curves: list[np.ndarray] = field(default_factory=list)  # per-trace fitted model
     nfev: int = 0  # optimizer's residual evaluations
     njev: int = 0  # optimizer's Jacobian evaluations
+    # identifiability_report's flagged pairs at the initial point
+    degenerate_pairs: list[tuple[str, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -123,7 +125,8 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
       gamma_g_star   rate of every dephasing entry on a ground level
       gamma_e_deph   dephasing on every excited level (created if absent)
       omega_c / omega_p   drive amplitudes, scaled so the largest coupling
-                     of that field equals the value (ratios preserved)
+                     of that field equals the value (ratios preserved); a
+                     field whose couplings are all zero takes only 0
       energy:<label>       level energy in Hz
       decay:<src>-><tgt>   one decay channel rate
       dephasing:<label>    one dephasing rate (created if absent)
@@ -169,11 +172,15 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
         drives = []
         for d in spec.drives:
             if d.field_id == field_id:
-                top = max(c.rabi for c in d.couplings)
-                d = DriveField(
-                    d.field_id,
-                    tuple(replace(c, rabi=value * c.rabi / top) for c in d.couplings),
-                )
+                top = max((c.rabi for c in d.couplings), default=0.0)
+                if top != 0.0:
+                    d = DriveField(
+                        d.field_id,
+                        tuple(replace(c, rabi=value * c.rabi / top) for c in d.couplings),
+                    )
+                elif value != 0.0:
+                    # No nonzero coupling has a ratio to keep; zero stays zero.
+                    raise ValueError(f"{name}: cannot scale all-zero couplings to {value!r}")
             drives.append(d)
         return replace(spec, drives=tuple(drives))
 
@@ -250,7 +257,7 @@ class _Objective:
             spec = apply_parameter(spec, self.param_of_slot[slot].name, x[slot])
         if self.problem.rabi_power_scaling and self.traces[t].power is not None:
             factor = np.sqrt(self.traces[t].power / self.problem.power_ref)
-            top = max(c.rabi for c in spec.control.couplings)
+            top = max((c.rabi for c in spec.control.couplings), default=0.0)
             spec = apply_parameter(spec, "omega_c", top * factor)
         return spec
 
@@ -282,9 +289,9 @@ class _Objective:
         key = (t,) + tuple(float(x[s]) for s in self.slots[t])
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = _ensemble(
-                _SweepKernel(self.spec_for_trace(t, x)), self.traces[t].delta_grid,
-                self.shift_grid, self.problem.workers, self.blocks(t))
+            hit = self._cache[key] = _sweep(
+                _SweepKernel(self.spec_for_trace(t, x)), self.shift_grid,
+                self.traces[t].delta_grid, self.problem.workers, self.blocks(t))
         return hit
 
     def _profile(self, t: int, x: np.ndarray):
@@ -333,7 +340,9 @@ def fit(traces, problem: FitProblem) -> FitResult:
     exact Jacobian of the profiled residuals (see the module docstring).
 
     Non-convergence is flagged on the result rather than raised; near-singular
-    Jacobian directions are reported per parameter in the warnings list.
+    Jacobian directions are reported per parameter in the warnings list, and
+    identifiability_report's degenerate pairs come from the fit's own model
+    evaluation at the initial point.
     """
     global least_squares
     if least_squares is None:
@@ -402,7 +411,30 @@ def fit(traces, problem: FitProblem) -> FitResult:
         ],
         nfev=int(res.nfev),
         njev=int(res.njev),
+        degenerate_pairs=_sensitivity(obj)[2],
     )
+
+
+def _sensitivity(obj: _Objective):
+    """Norms and correlations of the model derivatives at obj.x0, and the
+    parameter pairs whose derivatives are collinear beyond |corr| >
+    CORRELATION_FLAG.  The model at x0 is a cache hit once a fit has
+    evaluated it."""
+    jac = np.zeros((sum(len(tr.delta_grid) for tr in obj.traces), len(obj.x0)))
+    row = 0
+    for t, trace in enumerate(obj.traces):
+        jac[row : row + len(trace.delta_grid), obj.slots[t]] = obj.model(t, obj.x0)[1].T
+        row += len(trace.delta_grid)
+
+    norms = np.linalg.norm(jac, axis=0)
+    safe = np.where(norms > 0, norms, 1.0)
+    corr = (jac / safe).T @ (jac / safe)
+    pairs = []
+    for i in range(len(obj.names)):
+        for j in range(i + 1, len(obj.names)):
+            if norms[i] > 0 and norms[j] > 0 and abs(corr[i, j]) > CORRELATION_FLAG:
+                pairs.append((obj.names[i], obj.names[j]))
+    return norms, corr, pairs
 
 
 def identifiability_report(problem: FitProblem, traces=None) -> IdentifiabilityReport:
@@ -421,21 +453,7 @@ def identifiability_report(problem: FitProblem, traces=None) -> IdentifiabilityR
     else:
         traces = list(traces)
     obj = _Objective(traces, problem)
-
-    jac = np.zeros((sum(len(tr.delta_grid) for tr in traces), len(obj.x0)))
-    row = 0
-    for t, trace in enumerate(traces):
-        jac[row : row + len(trace.delta_grid), obj.slots[t]] = obj.model(t, obj.x0)[1].T
-        row += len(trace.delta_grid)
-
-    norms = np.linalg.norm(jac, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    corr = (jac / safe).T @ (jac / safe)
-    pairs = []
-    for i in range(len(obj.names)):
-        for j in range(i + 1, len(obj.names)):
-            if norms[i] > 0 and norms[j] > 0 and abs(corr[i, j]) > CORRELATION_FLAG:
-                pairs.append((obj.names[i], obj.names[j]))
+    norms, corr, pairs = _sensitivity(obj)
     return IdentifiabilityReport(
         parameter_names=list(obj.names),
         sensitivities=dict(zip(obj.names, norms.tolist())),

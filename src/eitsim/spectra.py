@@ -12,9 +12,10 @@ the two axes and evaluates the other, a low-rank update, in closed form over
 the whole grid.  It factorises per shift for homogeneous spectra and per
 two-photon point when an ensemble has enough shift samples to make that
 cheaper, by a cost read from the model's and the grid's sizes (see
-_SweepKernel).  It sweeps the grid in tiles of at most _POINTS points (see
-_sweep_rows) and averages ensembles by a fixed-order weighted reduction, so
-results are bit-identical for any worker count.  For a fit the same pass also
+_SweepKernel).  It sweeps the grid in tiles of at most _POINTS points and
+reduces each tile to its weighted partial at once, added in tile order (see
+_sweep), so memory does not grow with the shift count and results are
+bit-identical for any worker count.  For a fit the same pass also
 gives the gradient of the average with respect to parameters that enter the
 generator affinely, by one adjoint row per point from the same factors (see
 _SweepKernel._lines).
@@ -23,7 +24,6 @@ _SweepKernel._lines).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,7 +46,7 @@ from .lindblad import (
 )
 
 _POINTS = 2560  # (shift, two-photon) points per tile of the sweep, see
-                # _sweep_rows; fixed so tiling does not depend on the worker count
+                # _sweep; fixed so tiling does not depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # one refinement step does not restore; such lines are
                    # solved point by point
@@ -472,63 +472,58 @@ def _check_workers(workers) -> None:
         raise ValueError(f"workers must be a whole number >= 1, got {workers!r}")
 
 
-def _sweep_rows(kernel: _SweepKernel, deltas: np.ndarray, tp_grid: np.ndarray,
-                workers: int, blocks: np.ndarray | None = None,
-                weights: np.ndarray | None = None):
-    """Absorbance rows for each shift sample, computed tile by tile; with
-    blocks and weights, also the gradient of weights @ rows (see
-    _SweepKernel.absorbance).
+def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
+           blocks: np.ndarray | None = None):
+    """weights @ absorbance over shift_grid = (shifts, weights), reduced tile
+    by tile; with blocks, (average, gradient) as _SweepKernel.absorbance
+    gives them.
 
     A tile takes up to _POINTS values of the closed-form axis and
     max(1, _POINTS // its length) values of the factorised axis, so it holds
-    at most _POINTS points and its memory does not grow with the grid.  Tile
-    boundaries are independent of the worker count, results are written
-    back by index and the tiles' gradients are summed in tile order, so the
-    output is bit-identical for any number of workers.
+    at most _POINTS points, and only its weighted partial leaves it: no array
+    holds a row per shift.  Tile boundaries are independent of the worker
+    count and the partials are added in tile order, so the output is
+    bit-identical for any number of workers.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    per_delta = kernel.per_delta(len(deltas), len(tp_grid))
-    closed = len(deltas) if per_delta else len(tp_grid)
+    shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
+    per_delta = kernel.per_delta(len(shifts), len(tp_grid))
+    closed = len(shifts) if per_delta else len(tp_grid)
     factored = max(1, _POINTS // max(closed, 1))
     sd, st = (_POINTS, factored) if per_delta else (factored, _POINTS)
-    out = np.empty((len(deltas), len(tp_grid)))
-    grads = {}
 
     def run(tile):
         a, b = tile
+        d, t, w = shifts[a : a + sd], tp_grid[b : b + st], weights[a : a + sd]
         if blocks is None:
-            out[a : a + sd, b : b + st] = kernel.absorbance(
-                deltas[a : a + sd], tp_grid[b : b + st], per_delta)
-        else:
-            out[a : a + sd, b : b + st], grads[tile] = kernel.absorbance(
-                deltas[a : a + sd], tp_grid[b : b + st], per_delta, blocks,
-                weights[a : a + sd])
+            return w @ kernel.absorbance(d, t, per_delta), None
+        rows, grad = kernel.absorbance(d, t, per_delta, blocks, w)
+        return w @ rows, grad
 
-    tiles = [(a, b) for a in range(0, len(deltas), sd) for b in range(0, len(tp_grid), st)]
+    tiles = [(a, b) for a in range(0, len(shifts), sd) for b in range(0, len(tp_grid), st)]
+    # glibc returns freed heap to the OS whenever the free space at its top
+    # exceeds twice the largest block it has unmapped, so without a block
+    # that large every tile pages in its temporaries (a few of _POINTS x m
+    # floats) afresh: a six-field fig5 map took 433k minor page faults,
+    # against 82k with a row per shift and 7k with this line.  An untouched
+    # block costs no page.
+    np.empty(4 * _POINTS * len(kernel.a0))
+    out = np.zeros(len(tp_grid))
+    grad = None if blocks is None else np.zeros((len(blocks), len(tp_grid)))
+
+    def add(partials):
+        for (_, b), (part, g) in zip(tiles, partials):
+            out[b : b + st] += part
+            if g is not None:
+                grad[:, b : b + st] += g
+
     if workers > 1 and len(tiles) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, tiles))
+            add(pool.map(run, tiles))
     else:
-        for tile in tiles:
-            run(tile)
-    if blocks is None:
-        return out
-    grad = np.zeros((len(blocks), len(tp_grid)))
-    for a, b in tiles:
-        grad[:, b : b + st] += grads[a, b]
-    return out, grad
-
-
-def _ensemble(kernel: _SweepKernel, tp_grid: np.ndarray, shift_grid, workers: int,
-              blocks: np.ndarray | None = None):
-    """weights @ rows over shift_grid = (shifts, weights); with blocks,
-    (average, gradient) as _sweep_rows gives them."""
-    shifts, weights = shift_grid
-    weights = np.asarray(weights, float)
-    if blocks is None:
-        return weights @ _sweep_rows(kernel, shifts, tp_grid, workers)
-    rows, grad = _sweep_rows(kernel, shifts, tp_grid, workers, blocks, weights)
-    return weights @ rows, grad
+        add(map(run, tiles))
+    return out if blocks is None else (out, grad)
 
 
 def homogeneous_spectrum(
@@ -540,10 +535,10 @@ def homogeneous_spectrum(
     """Steady-state probe absorption vs two-photon detuning at one shift."""
     _check_workers(workers)
     kernel = _SweepKernel(spec)
-    rows = _sweep_rows(kernel, np.array([control_detuning]), np.asarray(delta_grid, float), workers)
+    tp_grid = np.asarray(delta_grid, float)
     return SpectrumTrace(
-        delta_grid=np.asarray(delta_grid, float),
-        absorbance=rows[0],
+        delta_grid=tp_grid,
+        absorbance=_sweep(kernel, ([control_detuning], [1.0]), tp_grid, workers),
         metadata={
             "model": model_hash(spec),
             "kind": "homogeneous",
@@ -598,18 +593,22 @@ def inhomogeneous_spectrum(
 
     shift_grid overrides the automatic (samples, weights) choice; fits use
     this to keep the integration grid fixed while decay rates vary, since the
-    automatic dense tier scales with the homogeneous linewidth.
+    automatic dense tier scales with the homogeneous linewidth.  It cannot be
+    combined with check_convergence, which refines the automatic grid.
     """
     _check_workers(workers)
+    if shift_grid is not None and check_convergence:
+        raise ValueError("shift_grid and check_convergence cannot be combined: "
+                         "the check refines the automatic grid, not the given one")
     tp_grid = np.asarray(delta_grid, dtype=float)
     kernel = _SweepKernel(spec)
     linewidth = homogeneous_linewidth(spec)
     if shift_grid is None:
         shift_grid = shift_samples(inhom, linewidth)
-    absorbance = _ensemble(kernel, tp_grid, shift_grid, workers)
+    absorbance = _sweep(kernel, shift_grid, tp_grid, workers)
     if check_convergence:
-        refined = _ensemble(kernel, tp_grid, shift_samples(
-            replace(inhom, n_samples=2 * inhom.n_samples + 1), linewidth), workers)
+        refined = _sweep(kernel, shift_samples(
+            replace(inhom, n_samples=2 * inhom.n_samples + 1), linewidth), tp_grid, workers)
         tol = 0.005 * np.abs(absorbance).max()
         if np.abs(refined - absorbance).max() > tol:
             raise NonConvergedSampling(

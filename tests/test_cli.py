@@ -13,7 +13,7 @@ import pytest
 
 import eitsim
 from eitsim import (ObservedTrace, check_density_matrix, cli, default_delta_grid, evolve,
-                    find_overlap_angle, local_minima, presets)
+                    find_overlap_angle, fitting, local_minima, presets)
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
 
@@ -405,6 +405,17 @@ class TestFit:
             list(p) for p in result["degenerate_pairs"]
         ]
 
+    def test_one_objective_per_fit(self, tmp_path, monkeypatch):
+        # fit.json's degenerate pairs come from the fit's own objective, so
+        # the initial point's spectra are computed once
+        built = []
+        init = fitting._Objective.__init__
+        monkeypatch.setattr(fitting._Objective, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        cfg = self.make_fixture(tmp_path)
+        assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+
     def test_malformed_trace_csv(self, tmp_path, capsys):
         cfg = self.make_fixture(tmp_path)
         (tmp_path / "obs.csv").write_text("delta_hz,signal\n0.0,1.0\n1.0\n")
@@ -677,17 +688,21 @@ class TestConfigReader:
 
 
 # Run in a fresh interpreter: argv[1] holds reader_configs' files, argv[2] is --out.
-# Prints the exit codes and, after each stage, the scipy modules loaded so far.
+# Prints the exit codes and, after each stage, the scipy modules loaded so far
+# and whether the thread pool module is.
 COLD_START = """
 import json, sys
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def pool_loaded():
+    return "concurrent.futures" in sys.modules
+
 import eitsim
 import eitsim.cli as cli
 cli.build_parser()
-loaded, codes = {"import": scipy_modules()}, []
+loaded, pools, codes = {"import": scipy_modules()}, {"import": pool_loaded()}, []
 cfg, out = sys.argv[1], ["--out", sys.argv[2]]
 for stage, runs in (
     ("simulate, check", [["simulate", "--config", cfg + "/homogeneous.json", *out],
@@ -698,8 +713,25 @@ for stage, runs in (
 ):
     codes += [cli.main(argv) for argv in runs]
     loaded[stage] = scipy_modules()
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    pools[stage] = pool_loaded()
+print(json.dumps({"codes": codes, "loaded": loaded, "pools": pools}))
 """
+
+
+def cold_start_report(tmp_path):
+    """The report COLD_START prints, run on reader_configs' files."""
+    for kind, doc in reader_configs(tmp_path).items():
+        write_json(tmp_path / f"{kind}.json", doc)
+    src = str(Path(eitsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path),
+                           str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * 6, done.stderr
+    return report
 
 
 class TestColdStart:
@@ -720,3 +752,10 @@ class TestColdStart:
         for stage in ("import", "simulate, check", "map, presets"):
             assert loaded[stage] == [], (stage, loaded[stage])
         assert "scipy.optimize" in loaded["fit"]
+
+    def test_one_worker_loads_no_thread_pool(self, tmp_path):
+        # concurrent.futures pulls in logging, queue and traceback; a sweep
+        # imports it only to run its tiles on more than one worker
+        pools = cold_start_report(tmp_path)["pools"]
+        for stage in ("import", "simulate, check", "map, presets"):
+            assert not pools[stage], stage

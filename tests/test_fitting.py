@@ -17,6 +17,7 @@ from eitsim.fitting import (
     fit,
     identifiability_report,
 )
+from eitsim.model import DriveField
 from eitsim.spectra import (
     InhomogeneitySpec,
     _SweepKernel,
@@ -74,6 +75,19 @@ class TestApplyParameter:
         rabis = sorted(c.rabi for c in out.control.couplings)
         assert rabis[-1] == pytest.approx(10e6)
         assert rabis[0] == pytest.approx(5e6)
+
+    def test_all_zero_field_takes_only_zero(self, lambda_spec):
+        # No ratios to keep: zero stays zero, any other value is an error
+        # naming the parameter (it used to divide by zero and give NaN).
+        off = apply_parameter(lambda_spec, "omega_c", 0.0)
+        assert [c.rabi for c in off.control.couplings] == [0.0]
+        assert apply_parameter(off, "omega_c", 0.0) == off
+        dark = apply_parameter(lambda_spec, "omega_p", 0.0)
+        bare = replace(lambda_spec, drives=(lambda_spec.probe, DriveField("control", ())))
+        assert apply_parameter(bare, "omega_c", 0.0) == bare
+        for name, spec in (("omega_c", off), ("omega_p", dark), ("omega_c", bare)):
+            with pytest.raises(ValueError, match=name):
+                apply_parameter(spec, name, 1e6)
 
     def test_targeted_paths(self, lambda_spec):
         out = apply_parameter(lambda_spec, "energy:g2", 2e9)
@@ -228,7 +242,35 @@ class TestFit:
         assert s1.control.couplings[0].rabi == pytest.approx(10e6)
 
 
+def test_zero_control_under_power_scaling():
+    # omega_c at its lower bound 0 with sqrt(P) scaling evaluates as the
+    # zero-control spectrum (it used to raise on a NaN Rabi frequency).
+    problem = FitProblem(presets.three_level_lambda(), INHOM,
+                         (FreeParameter("omega_c", 0.0, 0.0, 1e7),), rabi_power_scaling=True)
+    obj = _Objective([ObservedTrace(GRID, np.zeros(GRID.size), power=4e-3)], problem)
+    value, grad = obj.model(0, obj.x0)
+    off = apply_parameter(presets.three_level_lambda(), "omega_c", 0.0)
+    assert np.array_equal(value, inhomogeneous_spectrum(
+        off, INHOM, GRID, shift_grid=obj.shift_grid).absorbance)
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+
+
 class TestIdentifiability:
+    def test_fit_reports_the_report_pairs(self):
+        # fit() takes the pairs from its own evaluation at the initial point
+        problem = FitProblem(
+            template=presets.three_level_lambda(),
+            inhom=INHOM,
+            parameters=(
+                FreeParameter("gamma_e", 1e7, 1e6, 3e7),
+                FreeParameter("gamma_e_deph", 1e6, 1e4, 3e7),
+            ),
+        )
+        traces = [generate(presets.three_level_lambda())]
+        report = identifiability_report(problem, traces)
+        assert report.degenerate_pairs == [("gamma_e", "gamma_e_deph")]
+        assert fit(traces, problem).degenerate_pairs == report.degenerate_pairs
+
     def test_decay_vs_dephasing_degenerate(self):
         # a single EIT trace cannot separate excited decay from excited
         # dephasing: both only broaden the optical line

@@ -439,7 +439,8 @@ class TestSweepKernel:
         deltas = np.linspace(-3e7, 5e7, shifts)
         grid = np.linspace(-1e7, 1e7, points)
         assert kernel.per_delta(shifts, points) == per_delta
-        whole = kernel.absorbance(deltas, grid, per_delta)
+        weights = np.linspace(1.0, 2.0, shifts) / (1.5 * shifts)
+        whole = weights @ kernel.absorbance(deltas, grid, per_delta)
         tiles = []
         absorbance = _SweepKernel.absorbance
 
@@ -448,15 +449,34 @@ class TestSweepKernel:
             return absorbance(self, d, t, orientation)
 
         with mock.patch.object(_SweepKernel, "absorbance", recorded):
-            rows = spectra._sweep_rows(kernel, deltas, grid, workers=1)
+            average = spectra._sweep(kernel, (deltas, weights), grid, workers=1)
         if per_delta:
             assert tiles == [(16, 1, True)] * 54 + [(13, 1, True)] * 3
         else:
             assert tiles == [(1, 16, False), (1, 16, False), (1, 9, False)]
         # The same steps per point, but a matrix product may round one
         # point differently at another batch size.
-        assert np.abs(rows - whole).max() <= 1e-13 * np.abs(whole).max()
-        assert np.array_equal(rows, spectra._sweep_rows(kernel, deltas, grid, workers=3))
+        assert np.abs(average - whole).max() <= 1e-13 * np.abs(whole).max()
+        assert np.array_equal(average, spectra._sweep(kernel, (deltas, weights), grid, workers=3))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n_shifts=st.integers(1, 9),
+           points=st.integers(1, 9), per_delta=st.booleans())
+    def test_sweep_is_the_weighted_average(self, seed, n_shifts, points, per_delta):
+        # At 5 points to a tile every shape spans several tiles; the partials
+        # are added in tile order whatever the worker count.
+        rng = np.random.default_rng(seed)
+        kernel = _SweepKernel(random_model(rng))
+        shifts = np.sort(rng.uniform(-1e9, 1e9, n_shifts))
+        weights = rng.dirichlet(np.ones(n_shifts))
+        grid = np.linspace(-1e8, 1e8, points)
+        whole = weights @ kernel.absorbance(shifts, grid, per_delta)
+        with mock.patch.object(spectra, "_POINTS", 5), mock.patch.object(
+                _SweepKernel, "per_delta", lambda self, nd, nt: per_delta):
+            one = spectra._sweep(kernel, (shifts, weights), grid, workers=1)
+            three = spectra._sweep(kernel, (shifts, weights), grid, workers=3)
+        assert np.abs(one - whole).max() <= 1e-13 * np.abs(whole).max()
+        assert np.array_equal(one, three)
 
     @pytest.mark.parametrize("shifts, points, per_delta", [(16, 226, False), (1001, 3, True)])
     def test_memory_of_one_real_basis_chunk(self, shifts, points, per_delta):
@@ -636,6 +656,34 @@ class TestInhomogeneous:
         grid = np.linspace(-1e7, 1e7, 11)
         with pytest.raises(NonConvergedSampling):
             inhomogeneous_spectrum(lambda_spec, inhom, grid, check_convergence=True)
+
+    def test_convergence_check_rejects_a_given_shift_grid(self, lambda_spec):
+        # The check refines the automatic grid, which says nothing of this one.
+        with pytest.raises(ValueError, match="shift_grid.*check_convergence"):
+            inhomogeneous_spectrum(
+                lambda_spec, InhomogeneitySpec(fwhm=1e8, n_samples=3),
+                np.linspace(-1e7, 1e7, 11), check_convergence=True,
+                shift_grid=(np.array([0.0]), np.array([1.0])))
+
+    @pytest.mark.parametrize("five_level, n_shifts, points, per_delta, bound", [
+        (False, 20001, 101, True, 4), (True, 5001, 226, False, 4.5)])
+    def test_memory_does_not_grow_with_the_shift_count(self, five_level, n_shifts, points,
+                                                       per_delta, bound):
+        # A row per shift would take 15.4 MiB (Lambda) and 8.6 MiB (fig5)
+        # here; reduced tile by tile, the peak is one tile's work, about 1.0
+        # and 2.5 MiB.
+        spec = (presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6) if five_level
+                else presets.three_level_lambda())
+        inhom = InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=n_shifts, auto_dense=False)
+        grid = np.linspace(-2e7, 2.5e7, points)
+        assert _SweepKernel(spec).per_delta(n_shifts, points) == per_delta
+        tracemalloc.start()
+        try:
+            inhomogeneous_spectrum(spec, inhom, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
 
     def test_worker_count_bit_identical(self, lambda_spec):
         grid = np.linspace(-1e7, 1e7, 41)
