@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, presets
-from .fitting import FitProblem, FreeParameter, ObservedTrace, apply_parameter, fit
+from .fitting import (
+    FitProblem,
+    FreeParameter,
+    ObservedTrace,
+    _stuck_start,
+    apply_parameter,
+    fit,
+)
 from .model import validate_system
 from .modelio import (
     ModelFormatError,
@@ -275,6 +282,8 @@ def cmd_fit(args) -> int:
         initial, lower, upper = (_number(block, key, where, scale=scale)
                                  for key in ("initial", "lower", "upper"))
         name, per_trace = block.get("name"), _flag(block, "per_trace", where)
+        if name in (p.name for p in params):
+            raise ConfigError(f"{where}.name: {name!r} is listed twice")
         try:
             apply_parameter(template, name, initial)
             params.append(FreeParameter(name, initial, lower, upper, per_trace=per_trace))
@@ -282,6 +291,9 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"{where}.name: {name!r} is not a parameter of the model")
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}")
+        why = _stuck_start(params[-1])
+        if why:
+            raise ConfigError(f"{where}.initial: {why}")
     if not params:
         raise ConfigError("fit config lists no free parameters")
     problem = FitProblem(

@@ -86,6 +86,10 @@ class FitProblem:
 
     def __post_init__(self):
         _check_workers(self.workers)
+        names = [p.name for p in self.parameters]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"fit parameter {name!r} is listed twice")
 
 
 @dataclass
@@ -335,6 +339,14 @@ class _Objective:
         return jac
 
 
+def _stuck_start(p: FreeParameter) -> str | None:
+    """Why a fit cannot leave p's initial value, or None."""
+    if p.name in ("omega_c", "omega_p") and p.initial == 0.0:
+        return (f"{p.name} cannot start at 0: the absorbance is even in the Rabi "
+                "frequency, so its gradient there is 0 and the fit would not move")
+    return None
+
+
 def fit(traces, problem: FitProblem) -> FitResult:
     """Joint trust-region least-squares fit over one or more traces, with the
     exact Jacobian of the profiled residuals (see the module docstring).
@@ -342,9 +354,14 @@ def fit(traces, problem: FitProblem) -> FitResult:
     Non-convergence is flagged on the result rather than raised; near-singular
     Jacobian directions are reported per parameter in the warnings list, and
     identifiability_report's degenerate pairs come from the fit's own model
-    evaluation at the initial point.
+    evaluation at the initial point.  An omega_c or omega_p that starts at 0
+    raises ValueError: the fit could not leave it.
     """
     global least_squares
+    for p in problem.parameters:
+        why = _stuck_start(p)
+        if why:
+            raise ValueError(why)
     if least_squares is None:
         from scipy.optimize import least_squares
     traces = list(traces)

@@ -12,13 +12,16 @@ the two axes and evaluates the other, a low-rank update, in closed form over
 the whole grid.  It factorises per shift for homogeneous spectra and per
 two-photon point when an ensemble has enough shift samples to make that
 cheaper, by a cost read from the model's and the grid's sizes (see
-_SweepKernel).  It sweeps the grid in tiles of at most _POINTS points and
-reduces each tile to its weighted partial at once, added in tile order (see
-_sweep), so memory does not grow with the shift count and results are
-bit-identical for any worker count.  For a fit the same pass also
-gives the gradient of the average with respect to parameters that enter the
-generator affinely, by one adjoint row per point from the same factors (see
-_SweepKernel._lines).
+_SweepKernel).  Per two-photon point the state is rational in the shift, so
+an ensemble average over many shifts is taken over the poles before any
+state is formed: a few complex divides per shift instead of a solve (see
+_SweepKernel._average).  It sweeps the grid in tiles of a fixed number of
+points and reduces each tile to its weighted partial at once, added in tile
+order (see _sweep), so memory does not grow with the shift count and results
+are bit-identical for any worker count.  For a fit the same pass also gives
+the gradient of the average with respect to parameters that enter the
+generator affinely, from the same factors (see _SweepKernel._lines and
+_SweepKernel._average).
 """
 
 from __future__ import annotations
@@ -45,11 +48,12 @@ from .lindblad import (
     steady_state,
 )
 
-_POINTS = 2560  # (shift, two-photon) points per tile of the sweep, see
-                # _sweep; fixed so tiling does not depend on the worker count
+_POINTS = 2560  # (shift, two-photon) points per tile of rows, m / |Q| times
+                # as many reduced (see _sweep); fixed so tiling does not
+                # depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
-                   # one refinement step does not restore; such lines are
-                   # solved point by point
+                   # one refinement (or Newton) step does not restore; _lines
+                   # solves such lines point by point, _average as rows
 _MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
 
 
@@ -252,6 +256,13 @@ class _SweepKernel:
     terms about m |S|; refinement and the residual check cost the same either
     way.  per_delta picks the orientation with the lower
     (factorisations) * m^2 + n_d * n_t * |S|, ties going per shift.
+
+    A weighted average over the shifts need not form any state: per
+    two-photon point the read-out is a sum over the line's poles of terms
+    1 / (1 + d lam), so _average sums the weights over those directly, and
+    the gradient over products of two of them.  Its line checks stand in
+    for the per-point residual, and a line that fails one is redone as rows.
+    reduces says when that beats rows per shift; a single shift never is.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -289,6 +300,12 @@ class _SweepKernel:
         readout = (c @ tinv).imag
         self.probe_idx = np.flatnonzero(readout)
         self.probe_w = readout[self.probe_idx]
+        # _average reads the probe from Q alone.  A valid model's probe
+        # couplings are ground-excited, so their coherences lie there; for
+        # any other model (none for one without excited levels) it is None.
+        q = self.delta_idx
+        inside = (self.probe_idx >= q.start) & (self.probe_idx < q.stop)
+        self.readout_q = readout[q.start : q.stop] if len(q) and inside.all() else None
 
     def _liouvillian(self, point: DetuningPoint) -> Liouvillian:
         """build_liouvillian's generator at point, from the kernel's frame and
@@ -464,6 +481,161 @@ class _SweepKernel:
             g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
         return -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T)
 
+    def reduces(self, n_shifts: int, n_tp: int) -> bool:
+        """Whether _average per two-photon point is cheaper than rows per
+        shift for the weighted average over an n_shifts x n_tp grid.
+
+        A factorisation with its line factors costs about m^3 either way.  A
+        reduced point costs |Q| complex divides, and |Q|^2 products with a
+        gradient; a row point per shift costs about 2 m^2 + 4 m |P| (pole
+        terms, refinement and residual).  The rule charges |Q|^2 with or
+        without a gradient, so that a fit and inhomogeneous_spectrum take the
+        same route and agree bit for bit.  A single shift is never reduced,
+        nor a model without readout_q.
+        """
+        m, q, points = len(self.a0), len(self.delta_idx), n_shifts * n_tp
+        return n_shifts > 1 and self.readout_q is not None and (
+            n_tp * m**3 + points * q * q
+            < n_shifts * m**3 + points * (2 * m * m + 4 * m * len(self.tp_idx)))
+
+    def _line_factors(self, a: np.ndarray, adjoint: bool):
+        """The pole form of each two-photon line A = a[k] in the shift d.
+
+        With S = Q, V = delta_block and E_S the columns of S, [y | G] =
+        A^-1 [e_0 | E_S], refined once, and M = G_SS V = W diag(lam) W^-1
+        after one Newton step on the computed eigenpairs (Dongarra, Moler &
+        Wilkinson 1983).  Then x_S(d) = W diag(1 / (1 + d lam)) W^-1 y_S and
+        x(d) = y - d G V W diag(1 / (1 + d lam)) W^-1 y_S.  Returns y, G, lam,
+        W, W^-1, count (see below), the max |A [y | G] - [e_0 | E_S]| and
+        cond_1(W); with adjoint also H = E_S^T A^-1, refined once.
+        """
+        q = self.delta_idx
+        s = slice(q.start, q.stop)
+        eye = np.eye(a.shape[-1])
+        cols = np.concatenate(([0], np.arange(q.start, q.stop)))
+        ainv = np.linalg.solve(a, eye)
+        x = ainv[..., cols]
+        x -= ainv @ (a @ x - eye[:, cols])
+        resid = np.abs(a @ x - eye[:, cols]).max(axis=(1, 2))
+        y, g = x[..., 0], x[..., 1:]
+        m_s = g[:, s] @ self.delta_block
+        # eig rejects a non-finite batch; such a line has failed already.
+        m_s[~np.isfinite(m_s).all(axis=(1, 2))] = 0.0
+        lam, w = np.linalg.eig(m_s)
+        # A real M has real poles and conjugate pairs, whose terms in a real
+        # sum are conjugate too.  Order each line's poles so that those with
+        # Im lam >= 0 lead, and count such a pair member twice, a real pole
+        # once and the member with Im lam < 0 not at all.
+        order = np.argsort(lam.imag < 0, axis=1, kind="stable")
+        count = np.take_along_axis(np.sign(lam.imag) + 1.0, order, axis=1)
+        # eig gives real arrays to a batch whose eigenvalues are all real.
+        lam = np.take_along_axis(lam, order, axis=1).astype(complex)
+        w = np.take_along_axis(w, order[:, None, :], axis=2).astype(complex)
+        small = np.eye(len(q))
+        winv = np.linalg.solve(w, small)
+        e = winv @ (m_s @ w - w * lam[:, None, :])
+        gap = lam[:, None, :] - lam[:, :, None] + small  # lam_j - lam_i off the diagonal
+        lam = lam + np.diagonal(e, axis1=1, axis2=2)
+        # A repeated eigenvalue makes W non-finite, and cond(W) fails the line.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = w + w @ (e * (1.0 - small) / gap)
+        winv = np.linalg.solve(w, small)
+        cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
+        if not adjoint:
+            return y, g, lam, w, winv, count, resid, cond, None
+        z = ainv[:, s].copy()
+        z -= (z @ a - eye[s]) @ ainv
+        return y, g, lam, w, winv, count, resid, cond, z
+
+    def _average(self, deltas: np.ndarray, two_photons: np.ndarray,
+                 weights: np.ndarray, blocks: np.ndarray | None = None):
+        """weights @ absorbance(deltas, two_photons), shape (nt,), reduced over
+        the shifts in pole space; with blocks also its gradient (K, nt) as
+        absorbance gives it.
+
+        Per two-photon line, with the factors of _line_factors, beta =
+        W^-1 y_S, D(d) = diag(1 / (1 + d lam)) and the read-out c, which
+        lies in S, x_S(d) = W D(d) beta and
+
+            sum_d w_d c x(d) = Re sum_j count_j (c_S W)_j beta_j sum_d w_d / (1 + d lam_j),
+
+        about |S| / 2 complex divides per point.  The adjoint row c B(d)^-1
+        takes rows S of B(d)^-1 only, (I + d M)^-1 H = W D(d) W^-1 H with H =
+        E_S^T A^-1, so with zeta = c_S W, R = W^-1 H and P = G V W,
+
+            adj(d) = zeta D(d) R,   x(d) = y - d P D(d) beta,
+
+        and _lines' G(t) = sum_d w_d adj^T x becomes
+
+            R^T (s0 o zeta) (x) y - R^T diag(zeta) S1 diag(beta) P^T,
+
+        s0_j = sum_d w_d / (1 + d lam_j), S1_ij = sum_d w_d d / ((1 + d
+        lam_i)(1 + d lam_j)): |S|^2 products per point.  Unlike _lines'
+        adjoint row, c A^-1 less a pole term, adj(d) subtracts nothing, so it
+        keeps its digits where c A^-1 dwarfs the adjoint rows at the sampled
+        shifts.
+
+        A line whose refined residual or cond(W) fails, whose state x(d)
+        fails the residual check at the largest weight or either end of
+        deltas, or that has a non-finite number, and every line of a call
+        whose factorisation fails, is redone as rows by absorbance.
+        """
+        v_block, s = self.delta_block, slice(self.delta_idx.start, self.delta_idx.stop)
+        p = slice(self.tp_idx.start, self.tp_idx.stop)
+        a = np.broadcast_to(self.a0, (len(two_photons),) + self.a0.shape).copy()
+        a[:, p, p] += two_photons[:, None, None] * self.tp_block
+        out = np.zeros(len(two_photons))
+        grad = None if blocks is None else np.zeros((len(blocks), len(two_photons)))
+        try:
+            y, g, lam, w, winv, count, resid, cond, z = self._line_factors(
+                a, blocks is not None)
+        except np.linalg.LinAlgError:
+            failed = np.arange(len(two_photons))
+        else:
+            norm = np.linalg.norm(a, np.inf, axis=(1, 2))
+            beta = (winv @ y[:, s, None])[..., 0]
+
+            def poles(d, k=None):
+                """1 / (1 + d lam) over the first k poles, (nt, len(d), k)."""
+                r = d[:, None] * lam[:, None, :k]
+                r += 1.0
+                return np.divide(1.0, r, out=r)
+
+            zeta = self.readout_q @ w  # c_S W
+            k = int((count > 0).sum(axis=1).max())
+            alpha = zeta * beta * count
+            out[:] = (alpha[:, :k] * (weights @ poles(deltas, k))).sum(axis=1).real
+            # x(d) at three shifts; NaN-safe as in _lines.
+            d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
+            vw = v_block @ w
+            pw = g @ vw  # P = G V W
+            x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * poles(d3))
+                               @ pw.swapaxes(1, 2)).real
+            res = x3 @ a.swapaxes(1, 2)
+            res[..., s] += d3[:, None] * (x3[..., s] @ v_block.T)
+            res[..., 0] -= 1.0
+            ok = (resid <= 1e-10 * norm) & (cond <= _MAX_COND_W)
+            ok &= np.abs(res).max(axis=(1, 2)) <= 1e-10 * norm
+            ok &= np.isfinite(out)
+            if blocks is not None:
+                every = poles(deltas)
+                s0 = weights @ every
+                s1 = (every * (weights * deltas)[:, None]).swapaxes(1, 2) @ every
+                r_t = (winv @ z).swapaxes(1, 2)  # R^T
+                core = (r_t @ (zeta[:, :, None] * s1 * beta[:, None, :]) @ pw.swapaxes(1, 2)).real
+                np.subtract((r_t @ (s0 * zeta)[..., None]).real * y[:, None, :], core, out=core)
+                grad[:] = -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T)
+                ok &= np.isfinite(grad).all(axis=0)
+            failed = np.flatnonzero(~ok)
+        if len(failed):
+            redone = self.absorbance(deltas, two_photons[failed], True, blocks, weights)
+            if blocks is None:
+                out[failed] = weights @ redone
+            else:
+                out[failed] = weights @ redone[0]
+                grad[:, failed] = redone[1]
+        return out if blocks is None else (out, grad)
+
 
 def _check_workers(workers) -> None:
     """Raise ValueError unless workers is an integer >= 1 (not a bool)."""
@@ -478,22 +650,33 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     by tile; with blocks, (average, gradient) as _SweepKernel.absorbance
     gives them.
 
-    A tile takes up to _POINTS values of the closed-form axis and
-    max(1, _POINTS // its length) values of the factorised axis, so it holds
-    at most _POINTS points, and only its weighted partial leaves it: no array
-    holds a row per shift.  Tile boundaries are independent of the worker
-    count and the partials are added in tile order, so the output is
-    bit-identical for any number of workers.
+    Where kernel.reduces says so, each tile is reduced per two-photon point
+    by _SweepKernel._average; otherwise it is absorbance's rows, weighted.
+    A tile takes up to N values of the closed-form axis and max(1, N // its
+    length) values of the factorised axis, so it holds at most N points,
+    N = _POINTS for rows and _POINTS m / |Q| for a reduction, and only its
+    weighted partial leaves it: no array holds a row per shift.  Tile
+    boundaries are independent of the worker count and the partials are
+    added in tile order, so the output is bit-identical for any number of
+    workers.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
-    per_delta = kernel.per_delta(len(shifts), len(tp_grid))
+    reduce = kernel.reduces(len(shifts), len(tp_grid))
+    per_delta = reduce or kernel.per_delta(len(shifts), len(tp_grid))
+    # A reduced point holds about |Q| complex numbers where a row point holds
+    # a few times m floats, so a reduced tile of m / |Q| times the points
+    # takes about the same memory.
+    points = _POINTS * len(kernel.a0) // len(kernel.delta_idx) if reduce else _POINTS
     closed = len(shifts) if per_delta else len(tp_grid)
-    factored = max(1, _POINTS // max(closed, 1))
-    sd, st = (_POINTS, factored) if per_delta else (factored, _POINTS)
+    factored = max(1, points // max(closed, 1))
+    sd, st = (points, factored) if per_delta else (factored, points)
 
     def run(tile):
         a, b = tile
         d, t, w = shifts[a : a + sd], tp_grid[b : b + st], weights[a : a + sd]
+        if reduce:
+            out = kernel._average(d, t, w, blocks)
+            return (out, None) if blocks is None else out
         if blocks is None:
             return w @ kernel.absorbance(d, t, per_delta), None
         rows, grad = kernel.absorbance(d, t, per_delta, blocks, w)

@@ -448,6 +448,19 @@ class TestFit:
         # the result is still written, flagged
         assert json.loads((out / "fit.json").read_text())["converged"] is False
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"name": "gamma_e", "initial": 9.0, "lower": 1.0, "upper": 30.0}, "name"),
+        ({"name": "omega_c", "initial": 0.0, "lower": 0.0, "upper": 30.0}, "initial"),
+    ], ids=["duplicate", "zero_rabi"])
+    def test_unfittable_parameter_is_config_error(self, tmp_path, capsys, extra, key):
+        doc = json.loads(open(self.make_fixture(tmp_path)).read())
+        doc["parameters"].append(extra)
+        cfg = write_json(tmp_path / "fit4.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: parameters[2].{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_parameters_is_config_error(self, tmp_path):
         cfg_path = self.make_fixture(tmp_path)
         doc = json.loads(open(cfg_path).read())

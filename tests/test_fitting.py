@@ -196,6 +196,22 @@ class TestFit:
                 np.sqrt(r.covariance[k, k])
             )
 
+    def test_duplicate_parameter_names_rejected(self):
+        # Two slots of one name used to fit with a 2x2 covariance, a one-key
+        # estimates dict and a spurious singular-Jacobian warning.
+        twice = (FreeParameter("gamma_e", 1e7, 1e6, 3e7), FreeParameter("gamma_e", 9e6, 1e6, 3e7))
+        with pytest.raises(ValueError, match="'gamma_e' is listed twice"):
+            FitProblem(presets.three_level_lambda(), INHOM, twice)
+
+    @pytest.mark.parametrize("name", ["omega_c", "omega_p"])
+    def test_zero_rabi_start_rejected(self, name):
+        # The absorbance is even in a Rabi frequency, so its gradient at 0 is
+        # exactly 0 and the optimizer ran to max_nfev without moving.
+        problem = FitProblem(presets.three_level_lambda(), INHOM,
+                             (FreeParameter(name, 0.0, 0.0, 1e7),))
+        with pytest.raises(ValueError, match=f"{name} cannot start at 0"):
+            fit([generate(presets.three_level_lambda())], problem)
+
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
             fit([], self.problem())

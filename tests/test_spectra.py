@@ -371,29 +371,31 @@ class TestSweepKernel:
 
     def test_two_photon_chunks_match_shift_chunks(self, lambda_spec):
         # 101 samples plus the dense tier: 301 shifts x 41 points, which
-        # _sweep_rows splits into tiles of all 301 shifts (the closed-form
-        # axis) by max(1, _POINTS // 301) two-photon points: at 2560, five
-        # tiles of 8 points and one of 1.
+        # _sweep reduces per two-photon point in tiles of all 301 shifts (the
+        # closed-form axis) by max(1, _POINTS m / |Q| // 301) two-photon
+        # points: at 2560, m = 9 and |Q| = 4, two tiles of 19 points and one
+        # of 3.
         grid = np.linspace(-1e7, 1e7, 41)
         shifts, weights = shift_samples(
             InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=101),
             homogeneous_linewidth(lambda_spec))
         kernel = _SweepKernel(lambda_spec)
         assert kernel.per_delta(len(shifts), len(grid))
+        assert kernel.reduces(len(shifts), len(grid))
         ref = weights @ kernel.absorbance(shifts, grid, per_delta=False)
         chunks = []
-        absorbance = _SweepKernel.absorbance
+        average = _SweepKernel._average
 
-        def recorded(self, d, t, per_delta=None):
-            chunks.append((len(d), len(t), per_delta))
-            return absorbance(self, d, t, per_delta)
+        def recorded(self, d, t, w, blocks=None):
+            chunks.append((len(d), len(t)))
+            return average(self, d, t, w, blocks)
 
-        with mock.patch.object(_SweepKernel, "absorbance", recorded):
+        with mock.patch.object(_SweepKernel, "_average", recorded):
             tr = inhomogeneous_spectrum(lambda_spec, InhomogeneitySpec(
                 fwhm=presets.SIM_FWHM, n_samples=101), grid)
-        step = max(1, spectra._POINTS // 301)
+        step = max(1, spectra._POINTS * 9 // 4 // 301)
         full, rest = divmod(41, step)
-        assert chunks == [(301, step, True)] * full + [(301, rest, True)] * (rest > 0)
+        assert chunks == [(301, step)] * full + [(301, rest)] * (rest > 0)
         assert np.abs(tr.absorbance - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_memory_of_one_two_photon_chunk(self):
@@ -431,27 +433,34 @@ class TestSweepKernel:
 
     @pytest.mark.parametrize("shifts, points, per_delta", [(1, 41, False), (301, 3, True)])
     def test_tiles_split_a_long_line(self, lambda_spec, monkeypatch, shifts, points, per_delta):
-        # At 16 points to a tile, one shift x 41 points goes per shift in
-        # tiles of 16, 16 and 9 points, and 301 shifts x 3 points per
-        # two-photon point in tiles of one point by up to 16 shifts.
+        # At 16 points to a tile, one shift x 41 points goes as rows per
+        # shift in tiles of 16, 16 and 9 points, and 301 shifts x 3 points
+        # is reduced per two-photon point in tiles of one point by up to
+        # 16 m / |Q| = 36 shifts.
         monkeypatch.setattr(spectra, "_POINTS", 16)
         kernel = _SweepKernel(lambda_spec)
         deltas = np.linspace(-3e7, 5e7, shifts)
         grid = np.linspace(-1e7, 1e7, points)
         assert kernel.per_delta(shifts, points) == per_delta
+        assert kernel.reduces(shifts, points) == per_delta
         weights = np.linspace(1.0, 2.0, shifts) / (1.5 * shifts)
         whole = weights @ kernel.absorbance(deltas, grid, per_delta)
         tiles = []
-        absorbance = _SweepKernel.absorbance
+        absorbance, reduced = _SweepKernel.absorbance, _SweepKernel._average
 
         def recorded(self, d, t, orientation=None):
             tiles.append((len(d), len(t), orientation))
             return absorbance(self, d, t, orientation)
 
-        with mock.patch.object(_SweepKernel, "absorbance", recorded):
+        def recorded_average(self, d, t, w, blocks=None):
+            tiles.append((len(d), len(t), "reduced"))
+            return reduced(self, d, t, w, blocks)
+
+        with mock.patch.object(_SweepKernel, "absorbance", recorded), mock.patch.object(
+                _SweepKernel, "_average", recorded_average):
             average = spectra._sweep(kernel, (deltas, weights), grid, workers=1)
         if per_delta:
-            assert tiles == [(16, 1, True)] * 54 + [(13, 1, True)] * 3
+            assert tiles == [(36, 1, "reduced")] * 24 + [(13, 1, "reduced")] * 3
         else:
             assert tiles == [(1, 16, False), (1, 16, False), (1, 9, False)]
         # The same steps per point, but a matrix product may round one
@@ -556,18 +565,20 @@ class TestSweepKernel:
     @given(seed=st.integers(0, 2**32 - 1), few=st.integers(0, 6), many=st.integers(0, 22),
            fwhm=st.floats(1e8, 1e10), workers=st.sampled_from([2, 3, 8]))
     def test_worker_count_bit_identical_on_random_models(self, seed, few, many, fwhm, workers):
-        # Two ensembles per model, sized so that each runs in its own sweep
-        # orientation: 17-21 shifts by at least as many two-photon points
-        # goes per shift, and 17-61 shifts by 2-8 points per point.  At 12
-        # points to a tile each spans several tiles, with its closed-form
-        # axis (two-photon points per shift, shifts per point) split.
-        # Small, because a model whose lines fall back is solved point by
-        # point.
+        # Three ensembles per model, one per sweep route: with the reduction
+        # ruled out, 17-21 shifts by at least as many two-photon points go
+        # as rows per shift and 17-61 shifts by 2-8 points as rows per point,
+        # and the latter sizes are also reduced.  At 12 points to a row tile
+        # and 6 to a reduced one (which takes 2-2.7 times as many, by m /
+        # |Q|) each spans several tiles, with its closed-form axis
+        # (two-photon points per shift, shifts per point) split.  Small,
+        # because a model whose lines fall back is solved point by point.
         spec = random_model(np.random.default_rng(seed))
         n_shift = 17 + 2 * (many % 3)
-        sizes = {False: (n_shift, n_shift + few), True: (17 + 2 * many, 2 + few)}
-        absorbance = _SweepKernel.absorbance
-        for per_delta, (n_samples, n_tp) in sizes.items():
+        sizes = {False: (n_shift, n_shift + few), True: (17 + 2 * many, 2 + few),
+                 "reduced": (17 + 2 * many, 2 + few)}
+        absorbance, average = _SweepKernel.absorbance, _SweepKernel._average
+        for route, (n_samples, n_tp) in sizes.items():
             inhom = InhomogeneitySpec(fwhm=fwhm, n_samples=n_samples, auto_dense=False)
             grid = np.linspace(-1e8, 1e8, n_tp)
             chunks, closed = [], []
@@ -577,13 +588,182 @@ class TestSweepKernel:
                 closed.append(len(d) if orientation else len(t))
                 return absorbance(self, d, t, orientation)
 
-            with mock.patch.object(spectra, "_POINTS", 12):
-                with mock.patch.object(_SweepKernel, "absorbance", recorded):
+            def recorded_average(self, d, t, w, blocks=None):
+                chunks.append("reduced")
+                closed.append(len(d))
+                return average(self, d, t, w, blocks)
+
+            if route == "reduced":
+                tiles, entry = 6, mock.patch.object(_SweepKernel, "_average", recorded_average)
+            else:
+                tiles, entry = 12, mock.patch.object(_SweepKernel, "absorbance", recorded)
+            with mock.patch.object(spectra, "_POINTS", tiles), mock.patch.object(
+                    _SweepKernel, "reduces", lambda self, nd, nt: route == "reduced"):
+                with entry:
                     ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
                 other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
-            assert len(chunks) > 1 and set(chunks) == {per_delta}
-            assert max(closed) < (n_samples if per_delta else n_tp)
+            assert len(chunks) > 1 and set(chunks) == {route}
+            assert max(closed) < (n_tp if route is False else n_samples)
             assert np.array_equal(ref, other)
+
+
+def extended_solve(a, b):
+    """a^-1 b by Gaussian elimination with partial pivoting in long double,
+    a reference about 2000 times finer than a double LU where long double is
+    the x87 format."""
+    a, b = a.astype(np.longdouble), b.astype(np.longdouble)
+    n = len(a)
+    for i in range(n):
+        k = i + np.argmax(np.abs(a[i:, i]))
+        a[[i, k]], b[[i, k]] = a[[k, i]], b[[k, i]]
+        f = a[i + 1:, i] / a[i, i]
+        a[i + 1:] -= f[:, None] * a[i]
+        b[i + 1:] -= f * b[i]
+    x = np.zeros(n, np.longdouble)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+def parameter_blocks(spec, names, values):
+    """The derivatives of _SweepKernel(spec).a0 along named parameters at
+    values, as fitting._Objective.blocks takes them."""
+    def a0(name, value):
+        return _SweepKernel(apply_parameter(spec, name, value)).a0
+
+    return np.array([(a0(n, 2 * v) - a0(n, v)) / v for n, v in zip(names, values)])
+
+
+class TestReduction:
+    """_SweepKernel._average: the weighted average over the shifts, reduced
+    in pole space per two-photon point."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), n_shifts=st.integers(2, 9),
+           points=st.integers(1, 7))
+    def test_matches_point_wise_averages(self, seed, n_shifts, points):
+        # The value against point-wise steady_state, to 1e-12 of peak.  The
+        # gradient, in units of each parameter's value, against the average
+        # of states and adjoint rows solved in long double: over 200 draws
+        # the reduction came within 1e-12 of peak on 193 and within 1.2e-10
+        # on all, and the per-point adjoint of _lines within 1e-12 on 178
+        # and within 4.6e-8 on all.
+        rng = np.random.default_rng(seed)
+        spec = random_model(rng)
+        kernel = _SweepKernel(spec)
+        shifts = np.sort(rng.uniform(-1e9, 1e9, n_shifts))
+        weights = rng.dirichlet(np.ones(n_shifts))
+        grid = np.linspace(-1e8, 1e8, points)
+        names = ("gamma_e", "omega_p")
+        values = np.array([sum(c.rate for c in spec.decays if c.source == "e0"),
+                           spec.probe.couplings[0].rabi])
+        blocks = parameter_blocks(spec, names, values)
+        value, grad = kernel._average(shifts, grid, weights, blocks)
+        assert np.array_equal(value, kernel._average(shifts, grid, weights))
+        single = weights @ np.array([point_by_point(spec, d, grid) for d in shifts])
+        peak = np.abs(single).max()
+        assert np.abs(value - single).max() <= 1e-12 * peak
+
+        p, q = (slice(r.start, r.stop) for r in (kernel.tp_idx, kernel.delta_idx))
+        c = np.zeros(len(kernel.a0))
+        c[kernel.probe_idx] = kernel.probe_w
+        exact = np.zeros(grad.shape, np.longdouble)
+        for j, t in enumerate(grid):
+            for d, w in zip(shifts, weights):
+                b = kernel.a0.astype(np.longdouble)
+                b[p, p] += np.longdouble(t) * kernel.tp_block
+                b[q, q] += np.longdouble(d) * kernel.delta_block
+                x = extended_solve(b, np.eye(len(b))[0])
+                adj = extended_solve(b.T, c)
+                exact[:, j] -= w * (blocks.astype(np.longdouble) @ x @ adj)
+        assert (np.abs(grad - exact.astype(float)) * values[:, None]).max() <= 1e-9 * peak
+
+    @pytest.mark.parametrize("gradient", [False, True], ids=["value", "gradient"])
+    @pytest.mark.parametrize("poison", ["refinement", "residual", "condition", "singular"])
+    def test_failed_line_is_redone_as_rows(self, lambda_spec, monkeypatch, poison, gradient):
+        # Line 1 fails one check (or the factorisation fails, and every
+        # line with it): it is redone as rows per two-photon point by
+        # absorbance, bit for bit, and the other lines keep their values.
+        grid = np.array([-1e7, 2e6, 1e7])
+        shifts = np.linspace(-1e8, 1e8, 21)
+        weights = np.exp(-0.5 * (shifts / 6e7) ** 2)
+        kernel = _SweepKernel(lambda_spec)
+        blocks = (parameter_blocks(lambda_spec, ("gamma_e", "omega_c"), (1e7, 3e6))
+                  if gradient else None)
+
+        def run(lines):
+            out = kernel._average(shifts, grid[lines], weights, blocks)
+            return (out, None) if blocks is None else out
+
+        clean = run(slice(None))
+        factors = _SweepKernel._line_factors
+
+        def poisoned(self, a, adjoint):
+            if poison == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            y, g, lam, w, winv, count, resid, cond, z = factors(self, a, adjoint)
+            if poison == "refinement":
+                resid[1] = np.inf
+            elif poison == "residual":
+                y[1] += 1e-6  # every x(d) off by 1e-6, and nothing else
+            else:
+                cond[1] = np.inf
+            return y, g, lam, w, winv, count, resid, cond, z
+
+        monkeypatch.setattr(_SweepKernel, "_line_factors", poisoned)
+        value, grad = run(slice(None))
+        redone = [0, 1, 2] if poison == "singular" else [1]
+        rows = kernel.absorbance(shifts, grid[redone], True, blocks, weights)
+        rows, rows_grad = (rows, None) if blocks is None else rows
+        assert np.array_equal(value[redone], weights @ rows)
+        kept = [k for k in range(3) if k not in redone]
+        assert np.array_equal(value[kept], clean[0][kept])
+        if gradient:
+            assert np.array_equal(grad[:, redone], rows_grad)
+            assert np.array_equal(grad[:, kept], clean[1][:, kept])
+
+    @pytest.mark.parametrize("excited", [False, True], ids=["no_excited", "ground_probe"])
+    def test_read_out_outside_q_is_not_reduced(self, excited):
+        # _average reads the probe from the optical coherences Q alone.  A
+        # model without excited levels has no Q, and a probe between two
+        # ground levels reads outside it: validate_system rejects both, the
+        # library accepts them, and they keep the rows route.
+        levels = (Level("g1", "ground"), Level("g2", "ground", 1e9))
+        probe, control, decays = (), (), (DecayChannel("g2", "g1", 1e6),)
+        if excited:
+            levels += (Level("e", "excited"),)
+            probe, control = (Coupling("g1", "g2", 1e4),), (Coupling("g2", "e", 1e6),)
+            decays = (DecayChannel("e", "g1", 1e7), DecayChannel("e", "g2", 1e7))
+        spec = LevelSystemSpec(
+            levels=levels, decays=decays,
+            drives=(DriveField("probe", probe), DriveField("control", control)))
+        kernel = _SweepKernel(spec)
+        assert kernel.readout_q is None and not kernel.reduces(11, 5)
+        grid = np.linspace(-1e6, 1e6, 5)
+        shifts, weights = shift_samples(InhomogeneitySpec(fwhm=1e8, n_samples=11), 0.0)
+        tr = inhomogeneous_spectrum(spec, InhomogeneitySpec(fwhm=1e8, n_samples=11), grid)
+        assert np.array_equal(tr.absorbance, weights @ kernel.absorbance(shifts, grid))
+
+    def test_memory_of_a_gradient_reduction(self):
+        # The fig5 spectrum with three parameters' gradient, 5001 shifts x
+        # 226 points, reduced per two-photon point: about 2.0 MiB at the
+        # peak, most of it _sweep's untouched heap block.  Rows per shift
+        # took 3.4 MiB.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        kernel = _SweepKernel(spec)
+        grid = np.linspace(-2e7, 2.5e7, 226)
+        shifts, weights = shift_samples(
+            InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=5001, auto_dense=False), 0.0)
+        blocks = parameter_blocks(spec, ("gamma_e", "omega_c", "gamma_g_star"), (5e6, 8e6, 3e5))
+        assert kernel.reduces(len(shifts), len(grid))
+        spectra._sweep(kernel, (shifts[:3], weights[:3]), grid, 1, blocks)
+        tracemalloc.start()
+        try:
+            spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestInhomogeneous:
