@@ -55,6 +55,9 @@ _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # one refinement (or Newton) step does not restore; _lines
                    # solves such lines point by point, _average as rows
 _MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
+_MIN_REDUCED_SHIFTS = 100  # below this many shifts rows beat _average; a line's
+                           # factors (eig, Newton step, checks) cost about as
+                           # much as 50-150 row points (Lambda, fig5)
 
 
 class NonConvergedSampling(RuntimeError):
@@ -216,6 +219,12 @@ def _real_basis(d_delta: np.ndarray, d_tp: np.ndarray):
     return t, tinv, range(ends[0], ends[2]), range(ends[1], ends[3])
 
 
+def _inverse_and_cond(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W^-1 and the 1-norm condition number of each pole basis W in a batch."""
+    winv = np.linalg.solve(w, np.eye(w.shape[-1]))
+    return winv, np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
+
+
 class _SweepKernel:
     """Steady-state solver for a fixed model over (shift, two-photon) points.
 
@@ -262,7 +271,9 @@ class _SweepKernel:
     1 / (1 + d lam), so _average sums the weights over those directly, and
     the gradient over products of two of them.  Its line checks stand in
     for the per-point residual, and a line that fails one is redone as rows.
-    reduces says when that beats rows per shift; a single shift never is.
+    An ensemble of at least _MIN_REDUCED_SHIFTS shifts is reduced (see
+    reduces); a line's factors cost more than a row point's, so fewer
+    shifts go as rows.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -324,11 +335,9 @@ class _SweepKernel:
         """A_u^-1 and the pole form of each line: W, W^-1 V_SS, lam and the
         1-norm condition number of W, where block @ (A_u^-1)_SS =
         W diag(lam) W^-1 and block is V_SS."""
-        eye = np.eye(a.shape[-1])
-        ainv = np.linalg.solve(a, eye)
+        ainv = np.linalg.solve(a, np.eye(a.shape[-1]))
         lam, w = np.linalg.eig(block @ ainv[:, s, s])
-        winv = np.linalg.solve(w, eye[: len(block), : len(block)])
-        cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
+        winv, cond = _inverse_and_cond(w)
         return ainv, w, winv @ block, lam, cond
 
     def _point_row(self, deltas, two_photons) -> np.ndarray:
@@ -481,22 +490,13 @@ class _SweepKernel:
             g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
         return -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T)
 
-    def reduces(self, n_shifts: int, n_tp: int) -> bool:
-        """Whether _average per two-photon point is cheaper than rows per
-        shift for the weighted average over an n_shifts x n_tp grid.
-
-        A factorisation with its line factors costs about m^3 either way.  A
-        reduced point costs |Q| complex divides, and |Q|^2 products with a
-        gradient; a row point per shift costs about 2 m^2 + 4 m |P| (pole
-        terms, refinement and residual).  The rule charges |Q|^2 with or
-        without a gradient, so that a fit and inhomogeneous_spectrum take the
-        same route and agree bit for bit.  A single shift is never reduced,
-        nor a model without readout_q.
-        """
-        m, q, points = len(self.a0), len(self.delta_idx), n_shifts * n_tp
-        return n_shifts > 1 and self.readout_q is not None and (
-            n_tp * m**3 + points * q * q
-            < n_shifts * m**3 + points * (2 * m * m + 4 * m * len(self.tp_idx)))
+    def reduces(self, n_shifts: int) -> bool:
+        """Whether _sweep reduces the weighted average over n_shifts shifts
+        by _average: for at least _MIN_REDUCED_SHIFTS of them, unless the
+        model's read-out lies outside Q (readout_q is None).  The rule does
+        not read whether a gradient is asked for, so a fit and
+        inhomogeneous_spectrum take the same route and agree bit for bit."""
+        return n_shifts >= _MIN_REDUCED_SHIFTS and self.readout_q is not None
 
     def _line_factors(self, a: np.ndarray, adjoint: bool):
         """The pole form of each two-photon line A = a[k] in the shift d.
@@ -532,15 +532,13 @@ class _SweepKernel:
         lam = np.take_along_axis(lam, order, axis=1).astype(complex)
         w = np.take_along_axis(w, order[:, None, :], axis=2).astype(complex)
         small = np.eye(len(q))
-        winv = np.linalg.solve(w, small)
-        e = winv @ (m_s @ w - w * lam[:, None, :])
+        e = np.linalg.solve(w, small) @ (m_s @ w - w * lam[:, None, :])
         gap = lam[:, None, :] - lam[:, :, None] + small  # lam_j - lam_i off the diagonal
         lam = lam + np.diagonal(e, axis1=1, axis2=2)
         # A repeated eigenvalue makes W non-finite, and cond(W) fails the line.
         with np.errstate(divide="ignore", invalid="ignore"):
             w = w + w @ (e * (1.0 - small) / gap)
-        winv = np.linalg.solve(w, small)
-        cond = np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
+        winv, cond = _inverse_and_cond(w)
         if not adjoint:
             return y, g, lam, w, winv, count, resid, cond, None
         z = ainv[:, s].copy()
@@ -577,8 +575,11 @@ class _SweepKernel:
 
         A line whose refined residual or cond(W) fails, whose state x(d)
         fails the residual check at the largest weight or either end of
-        deltas, or that has a non-finite number, and every line of a call
-        whose factorisation fails, is redone as rows by absorbance.
+        deltas, whose summed value there strays from x(d)'s read-out, or
+        whose value is not finite, and every line of a call whose
+        factorisation fails, is redone as rows by absorbance.  A line whose
+        gradient alone is not finite has only its gradient redone, so its
+        value stays the one absorbance(..., blocks=None) gives.
         """
         v_block, s = self.delta_block, slice(self.delta_idx.start, self.delta_idx.stop)
         p = slice(self.tp_idx.start, self.tp_idx.stop)
@@ -590,7 +591,7 @@ class _SweepKernel:
             y, g, lam, w, winv, count, resid, cond, z = self._line_factors(
                 a, blocks is not None)
         except np.linalg.LinAlgError:
-            failed = np.arange(len(two_photons))
+            ok = grad_ok = np.zeros(len(two_photons), dtype=bool)
         else:
             norm = np.linalg.norm(a, np.inf, axis=(1, 2))
             beta = (winv @ y[:, s, None])[..., 0]
@@ -609,14 +610,24 @@ class _SweepKernel:
             d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
             vw = v_block @ w
             pw = g @ vw  # P = G V W
-            x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * poles(d3))
+            r3 = poles(d3)
+            x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * r3)
                                @ pw.swapaxes(1, 2)).real
             res = x3 @ a.swapaxes(1, 2)
             res[..., s] += d3[:, None] * (x3[..., s] @ v_block.T)
             res[..., 0] -= 1.0
             ok = (resid <= 1e-10 * norm) & (cond <= _MAX_COND_W)
             ok &= np.abs(res).max(axis=(1, 2)) <= 1e-10 * norm
+            # The value's own sum, its counted poles and zeta, against the
+            # read-out of x(d) there: over the presets and 200 random_model
+            # draws they differ by at most 6.5e-11 of their magnitude.
+            probe = x3[..., self.probe_idx]
+            gap = np.abs((alpha[:, None] * r3).sum(axis=2).real - probe @ self.probe_w)
+            scale = (np.abs(zeta * beta)[:, None] * np.abs(r3)).sum(axis=2)
+            scale += np.abs(probe) @ np.abs(self.probe_w)
+            ok &= (gap <= 1e-8 * scale).all(axis=1)
             ok &= np.isfinite(out)
+            grad_ok = ok
             if blocks is not None:
                 every = poles(deltas)
                 s0 = weights @ every
@@ -625,14 +636,14 @@ class _SweepKernel:
                 core = (r_t @ (zeta[:, :, None] * s1 * beta[:, None, :]) @ pw.swapaxes(1, 2)).real
                 np.subtract((r_t @ (s0 * zeta)[..., None]).real * y[:, None, :], core, out=core)
                 grad[:] = -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T)
-                ok &= np.isfinite(grad).all(axis=0)
-            failed = np.flatnonzero(~ok)
+                grad_ok = ok & np.isfinite(grad).all(axis=0)
+        failed = np.flatnonzero(~grad_ok)
         if len(failed):
             redone = self.absorbance(deltas, two_photons[failed], True, blocks, weights)
-            if blocks is None:
-                out[failed] = weights @ redone
-            else:
-                out[failed] = weights @ redone[0]
+            rows = redone if blocks is None else redone[0]
+            value = ~ok[failed]
+            out[failed[value]] = (weights @ rows)[value]
+            if blocks is not None:
                 grad[:, failed] = redone[1]
         return out if blocks is None else (out, grad)
 
@@ -661,7 +672,7 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     workers.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
-    reduce = kernel.reduces(len(shifts), len(tp_grid))
+    reduce = kernel.reduces(len(shifts))
     per_delta = reduce or kernel.per_delta(len(shifts), len(tp_grid))
     # A reduced point holds about |Q| complex numbers where a row point holds
     # a few times m floats, so a reduced tile of m / |Q| times the points

@@ -381,7 +381,7 @@ class TestSweepKernel:
             homogeneous_linewidth(lambda_spec))
         kernel = _SweepKernel(lambda_spec)
         assert kernel.per_delta(len(shifts), len(grid))
-        assert kernel.reduces(len(shifts), len(grid))
+        assert kernel.reduces(len(shifts))
         ref = weights @ kernel.absorbance(shifts, grid, per_delta=False)
         chunks = []
         average = _SweepKernel._average
@@ -442,7 +442,7 @@ class TestSweepKernel:
         deltas = np.linspace(-3e7, 5e7, shifts)
         grid = np.linspace(-1e7, 1e7, points)
         assert kernel.per_delta(shifts, points) == per_delta
-        assert kernel.reduces(shifts, points) == per_delta
+        assert kernel.reduces(shifts) == per_delta
         weights = np.linspace(1.0, 2.0, shifts) / (1.5 * shifts)
         whole = weights @ kernel.absorbance(deltas, grid, per_delta)
         tiles = []
@@ -598,7 +598,7 @@ class TestSweepKernel:
             else:
                 tiles, entry = 12, mock.patch.object(_SweepKernel, "absorbance", recorded)
             with mock.patch.object(spectra, "_POINTS", tiles), mock.patch.object(
-                    _SweepKernel, "reduces", lambda self, nd, nt: route == "reduced"):
+                    _SweepKernel, "reduces", lambda self, nd: route == "reduced"):
                 with entry:
                     ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
                 other = inhomogeneous_spectrum(spec, inhom, grid, workers=workers).absorbance
@@ -679,7 +679,8 @@ class TestReduction:
         assert (np.abs(grad - exact.astype(float)) * values[:, None]).max() <= 1e-9 * peak
 
     @pytest.mark.parametrize("gradient", [False, True], ids=["value", "gradient"])
-    @pytest.mark.parametrize("poison", ["refinement", "residual", "condition", "singular"])
+    @pytest.mark.parametrize("poison", ["refinement", "residual", "condition", "count",
+                                        "singular"])
     def test_failed_line_is_redone_as_rows(self, lambda_spec, monkeypatch, poison, gradient):
         # Line 1 fails one check (or the factorisation fails, and every
         # line with it): it is redone as rows per two-photon point by
@@ -706,6 +707,8 @@ class TestReduction:
                 resid[1] = np.inf
             elif poison == "residual":
                 y[1] += 1e-6  # every x(d) off by 1e-6, and nothing else
+            elif poison == "count":
+                count[1, 0] += 1.0  # the value sums one pole term too many
             else:
                 cond[1] = np.inf
             return y, g, lam, w, winv, count, resid, cond, z
@@ -721,6 +724,31 @@ class TestReduction:
         if gradient:
             assert np.array_equal(grad[:, redone], rows_grad)
             assert np.array_equal(grad[:, kept], clean[1][:, kept])
+
+    def test_gradient_only_failure_keeps_the_value(self, lambda_spec, monkeypatch):
+        # A line whose gradient alone is not finite has its gradient redone
+        # as rows, and keeps the value the reduction without blocks gives.
+        grid = np.array([-1e7, 2e6, 1e7])
+        shifts = np.linspace(-1e8, 1e8, 21)
+        weights = np.exp(-0.5 * (shifts / 6e7) ** 2)
+        kernel = _SweepKernel(lambda_spec)
+        blocks = parameter_blocks(lambda_spec, ("gamma_e", "omega_c"), (1e7, 3e6))
+        clean = kernel._average(shifts, grid, weights, blocks)
+        factors = _SweepKernel._line_factors
+
+        def poisoned(self, a, adjoint):
+            out = factors(self, a, adjoint)
+            if adjoint:
+                out[-1][1] = np.nan  # H, which only the gradient reads
+            return out
+
+        monkeypatch.setattr(_SweepKernel, "_line_factors", poisoned)
+        value, grad = kernel._average(shifts, grid, weights, blocks)
+        assert np.array_equal(value, kernel._average(shifts, grid, weights))
+        assert np.array_equal(value, clean[0])
+        rows_grad = kernel.absorbance(shifts, grid[[1]], True, blocks, weights)[1]
+        assert np.array_equal(grad[:, [1]], rows_grad)
+        assert np.array_equal(grad[:, [0, 2]], clean[1][:, [0, 2]])
 
     @pytest.mark.parametrize("excited", [False, True], ids=["no_excited", "ground_probe"])
     def test_read_out_outside_q_is_not_reduced(self, excited):
@@ -738,10 +766,11 @@ class TestReduction:
             levels=levels, decays=decays,
             drives=(DriveField("probe", probe), DriveField("control", control)))
         kernel = _SweepKernel(spec)
-        assert kernel.readout_q is None and not kernel.reduces(11, 5)
+        inhom = InhomogeneitySpec(fwhm=1e8, n_samples=101)
+        assert kernel.readout_q is None and not kernel.reduces(101)
         grid = np.linspace(-1e6, 1e6, 5)
-        shifts, weights = shift_samples(InhomogeneitySpec(fwhm=1e8, n_samples=11), 0.0)
-        tr = inhomogeneous_spectrum(spec, InhomogeneitySpec(fwhm=1e8, n_samples=11), grid)
+        shifts, weights = shift_samples(inhom, homogeneous_linewidth(spec))
+        tr = inhomogeneous_spectrum(spec, inhom, grid)
         assert np.array_equal(tr.absorbance, weights @ kernel.absorbance(shifts, grid))
 
     def test_memory_of_a_gradient_reduction(self):
@@ -755,7 +784,7 @@ class TestReduction:
         shifts, weights = shift_samples(
             InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=5001, auto_dense=False), 0.0)
         blocks = parameter_blocks(spec, ("gamma_e", "omega_c", "gamma_g_star"), (5e6, 8e6, 3e5))
-        assert kernel.reduces(len(shifts), len(grid))
+        assert kernel.reduces(len(shifts))
         spectra._sweep(kernel, (shifts[:3], weights[:3]), grid, 1, blocks)
         tracemalloc.start()
         try:
