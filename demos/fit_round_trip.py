@@ -6,7 +6,7 @@ excited decay rate, ground dephasing rate, and reference control Rabi back
 out.  The control Rabi scales as √(P/P_ref) across the series, which is what
 lets a joint fit pin it down.
 
-Runtime: about a minute.
+Runtime: about 3 s.
 """
 
 import numpy as np

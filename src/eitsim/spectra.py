@@ -7,21 +7,21 @@ optical shift (control_detuning) and the two-photon detuning each move a few
 of its coherences.  The sweep works in the real basis (rho_ii, Re rho_ij,
 Im rho_ij), where the generator of a Hermitian state is a real matrix of the
 same size and each detuning acts by 2x2 rotation blocks on one contiguous
-range of coordinates.  It factorises the generator once per value of one of
-the two axes and evaluates the other, a low-rank update, in closed form over
-the whole grid.  It factorises per shift for homogeneous spectra and per
-two-photon point when an ensemble has enough shift samples to make that
-cheaper, by a cost read from the model's and the grid's sizes (see
-_SweepKernel).  Per two-photon point the state is rational in the shift, so
-an ensemble average over many shifts is taken over the poles before any
-state is formed: a few complex divides per shift instead of a solve (see
-_SweepKernel._average).  It sweeps the grid in tiles of a fixed number of
-points and reduces each tile to its weighted partial at once, added in tile
-order (see _sweep), so memory does not grow with the shift count and results
-are bit-identical for any worker count.  For a fit the same pass also gives
-the gradient of the average with respect to parameters that enter the
-generator affinely, from the same factors (see _SweepKernel._lines and
-_SweepKernel._average).
+range of coordinates.  Every spectrum takes one of two routes.  Rows: per
+optical shift the generator is factorised once and the two-photon axis, a
+low-rank update, is evaluated in closed form over the whole grid (see
+_SweepKernel.absorbance).  Reduction: per two-photon point the state is
+rational in the shift, so an ensemble average over at least
+_MIN_REDUCED_SHIFTS shifts is taken over the poles before any state is
+formed, a few complex divides per shift instead of a solve (see
+_SweepKernel._average).  A line that either route cannot take is redone by
+one batched dense solve, and point by point by steady_state where that fails
+too (see _SweepKernel._redo_line).  The sweep takes the grid in tiles of a
+fixed number of points and reduces each tile to its weighted partial at once,
+added in tile order (see _sweep), so memory does not grow with the shift
+count and results are bit-identical for any worker count.  For a fit the same
+pass also gives the gradient of the average with respect to parameters that
+enter the generator affinely, from the same factors.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ _POINTS = 2560  # (shift, two-photon) points per tile of rows, m / |Q| times
                 # as many reduced (see _sweep); fixed so tiling does not
                 # depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
-                   # one refinement (or Newton) step does not restore; _lines
-                   # solves such lines point by point, _average as rows
+                   # one refinement (or Newton) step does not restore; such a
+                   # line is redone by a dense solve (see _redo_line)
 _MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
 _MIN_REDUCED_SHIFTS = 100  # below this many shifts rows beat _average; a line's
                            # factors (eig, Newton step, checks) cost about as
@@ -156,7 +156,8 @@ def homogeneous_linewidth(spec: LevelSystemSpec) -> float:
 def _probe_readout(spec: LevelSystemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-stacked indices of the probe coherences rho[g, e] and of their
     mirror rho[e, g], and the weights rabi / max rabi; all empty without
-    probe couplings.
+    probe couplings, and zero weights when every probe Rabi frequency is 0,
+    as such a probe absorbs nothing.
 
     The absorbance is weights @ (Im vec[idx] - Im vec[idx_t]), twice the
     probe coherence of the Hermitian part of vec: a computed steady state
@@ -169,7 +170,8 @@ def _probe_readout(spec: LevelSystemSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     g = np.array([spec.index(c.ground) for c in probe.couplings])
     e = np.array([spec.index(c.excited) for c in probe.couplings])
     rabis = np.array([c.rabi for c in probe.couplings])
-    return g + n * e, e + n * g, rabis / rabis.max()
+    top = rabis.max()
+    return g + n * e, e + n * g, rabis / top if top > 0 else np.zeros(len(rabis))
 
 
 def probe_absorption(rho: np.ndarray, spec: LevelSystemSpec) -> float:
@@ -238,42 +240,34 @@ class _SweepKernel:
     d*delta_block + t*tp_block, each block acting on one contiguous range:
     the two-photon detuning on the coherences P of the probe-driven ground
     levels (tp_idx), the shift on the optical coherences Q (delta_idx).
-    Either axis can therefore be the one that is factorised.
 
-    Write B(u, v) = a0 + u*U + v*V, with V supported on the range S.  Along v
-    each B is a rank-|S| update of A_u = B(u, 0).  One LU of A_u gives A_u^-1
-    and, for y = A_u^-1 b, the Woodbury identity with the real |S| x |S|
-    matrix V_SS (A_u^-1)_SS = W diag(lam) W^-1 gives every point of the line
-    in closed form,
+    Rows (absorbance): along t each B(d, t) is a rank-|P| update of A_d =
+    B(d, 0).  One LU of A_d gives A_d^-1 and, for y = A_d^-1 b, the Woodbury
+    identity with the real |P| x |P| matrix V_PP (A_d^-1)_PP = W diag(lam)
+    W^-1, V = tp_block, gives every point of the line in closed form,
 
-        B(u, v)^-1 b = y - (A_u^-1)_:S Re q,   q = W [v / (1 + v lam)] W^-1 V_SS y_S.
+        B(d, t)^-1 b = y - (A_d^-1)_:P Re q,   q = W [t / (1 + t lam)] W^-1 V_PP y_P.
 
     The poles lam come in conjugate pairs, so q is real up to rounding; only
-    the S-space terms are complex, and a line costs one factorisation plus
-    O(|S|^2 + m |S|) real work per point.  One step of iterative refinement
-    follows (it applies A_u^-1 to the residuals), and every point's residual
-    against its own B(u, v) is checked.  A line that fails the check or has
-    an ill-conditioned W, and every line of a call whose factorisation fails,
-    is solved point by point by steady_state.  The absorbance is read from
-    the Im rho_ge coordinate of each probe coupling.  Given the derivatives
-    of a0 with respect to some parameters, absorbance() also returns the
-    gradient of a weighted average over the shifts (see _lines).
+    the P-space terms are complex, and a line costs one factorisation plus
+    O(|P|^2 + m |P|) real work per point.  One step of iterative refinement
+    follows (it applies A_d^-1 to the residuals), and every point's residual
+    against its own B(d, t) is checked.
 
-    The two orientations are per shift (u = d, v = t, S = P) and per
-    two-photon point (u = t, v = d, S = Q).  For m = len(a0), n_d shifts and
-    n_t two-photon points, a factorisation costs about m^3 and a point's pole
-    terms about m |S|; refinement and the residual check cost the same either
-    way.  per_delta picks the orientation with the lower
-    (factorisations) * m^2 + n_d * n_t * |S|, ties going per shift.
+    Reduction (_average): a weighted average over the shifts need not form
+    any state.  Per two-photon point the read-out is a sum over the line's
+    poles of terms 1 / (1 + d lam), so _average sums the weights over those
+    directly, and the gradient over products of two of them.  Its line
+    checks stand in for the per-point residual.  An ensemble of at least
+    _MIN_REDUCED_SHIFTS shifts is reduced (see reduces); a line's factors
+    cost more than a row point's, so fewer shifts go as rows.
 
-    A weighted average over the shifts need not form any state: per
-    two-photon point the read-out is a sum over the line's poles of terms
-    1 / (1 + d lam), so _average sums the weights over those directly, and
-    the gradient over products of two of them.  Its line checks stand in
-    for the per-point residual, and a line that fails one is redone as rows.
-    An ensemble of at least _MIN_REDUCED_SHIFTS shifts is reduced (see
-    reduces); a line's factors cost more than a row point's, so fewer
-    shifts go as rows.
+    On either route a line that fails its checks or has an ill-conditioned
+    W, and every line of a call whose factorisation fails, is redone by
+    _redo_line.  The absorbance is read from the Im rho_ge coordinate of each
+    probe coupling.  Given the derivatives of a0 with respect to some
+    parameters, both routes also return the gradient of a weighted average
+    over the shifts.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -324,21 +318,15 @@ class _SweepKernel:
         h = assemble_hamiltonian(self.spec, self.frame, point)
         return Liouvillian(hamiltonian_superoperator(h) + self.dissipator)
 
-    def per_delta(self, n_shifts: int, n_tp: int) -> bool:
-        """Whether one factorisation per two-photon point is cheaper than one
-        per shift for an n_shifts x n_tp grid (see the class docstring)."""
-        m2, points = len(self.a0) ** 2, n_shifts * n_tp
-        return (n_tp * m2 + points * len(self.delta_idx)
-                < n_shifts * m2 + points * len(self.tp_idx))
-
-    def _resolvent(self, a: np.ndarray, s: slice, block: np.ndarray):
-        """A_u^-1 and the pole form of each line: W, W^-1 V_SS, lam and the
-        1-norm condition number of W, where block @ (A_u^-1)_SS =
-        W diag(lam) W^-1 and block is V_SS."""
+    def _resolvent(self, a: np.ndarray):
+        """A_d^-1 and the pole form of each line: W, W^-1 V_PP, lam and the
+        1-norm condition number of W, where V_PP (A_d^-1)_PP = W diag(lam)
+        W^-1 and V_PP is tp_block."""
+        p = slice(self.tp_idx.start, self.tp_idx.stop)
         ainv = np.linalg.solve(a, np.eye(a.shape[-1]))
-        lam, w = np.linalg.eig(block @ ainv[:, s, s])
+        lam, w = np.linalg.eig(self.tp_block @ ainv[:, p, p])
         winv, cond = _inverse_and_cond(w)
-        return ainv, w, winv @ block, lam, cond
+        return ainv, w, winv @ self.tp_block, lam, cond
 
     def _point_row(self, deltas, two_photons) -> np.ndarray:
         """One line by single-point solves, over whichever argument is an
@@ -349,146 +337,154 @@ class _SweepKernel:
             for d, t in np.broadcast(deltas, two_photons)
         ])
 
+    def _dense_line(self, deltas, two_photons, blocks: np.ndarray | None = None):
+        """The read-out c x at every point of one line, over whichever
+        argument is an array, by batched dense solves of B; NaN throughout
+        unless every x passes absorbance's residual check.  With blocks also
+        -adj A_k x at every point, shape (K, n), with adj = c B^-1 from a
+        solve of B^T.  The solves go in slices of max(1, _POINTS // m) points,
+        so at most one slice of m x m matrices is held."""
+        d, t = np.broadcast_arrays(deltas, two_photons)
+        p, q = (slice(r.start, r.stop) for r in (self.tp_idx, self.delta_idx))
+        m = len(self.a0)
+        e_0, c = np.zeros(m), np.zeros(m)
+        e_0[0] = 1.0
+        c[self.probe_idx] = self.probe_w
+        values = np.empty(d.size)
+        terms = None if blocks is None else np.empty((len(blocks), d.size))
+        ok = True
+        step = max(1, _POINTS // m)
+        for j in range(0, d.size, step):
+            k = slice(j, j + step)
+            b = np.broadcast_to(self.a0, (len(d[k]), m, m)).copy()
+            b[:, q, q] += d[k, None, None] * self.delta_block
+            b[:, p, p] += t[k, None, None] * self.tp_block
+            x = np.linalg.solve(b, np.broadcast_to(e_0, (len(b), m))[..., None])
+            res = b @ x
+            res[:, 0] -= 1.0
+            x = x[..., 0]
+            # NaN-safe as in absorbance.
+            ok &= (np.abs(res).max(axis=(1, 2))
+                   <= 1e-10 * np.linalg.norm(b, np.inf, axis=(1, 2))).all()
+            values[k] = x[:, self.probe_idx] @ self.probe_w
+            if blocks is not None:
+                adj = np.linalg.solve(b.swapaxes(1, 2),
+                                      np.broadcast_to(c, (len(b), m))[..., None])[..., 0]
+                terms[:, k] = -((adj @ blocks) * x).sum(axis=2)
+        if not ok:
+            values[:] = np.nan
+        return values, terms
+
+    def _redo_line(self, deltas, two_photons, blocks: np.ndarray | None = None):
+        """One line that the pole form did not take, as (values, terms) of
+        _dense_line; where the dense solve raises or fails its check, the
+        values come from _point_row.  A LinAlgError means that B is singular,
+        where no gradient exists: with blocks it is raised again once
+        _point_row has returned (a degenerate model raises
+        DegenerateSteadyState there first)."""
+        try:
+            values, terms = self._dense_line(deltas, two_photons, blocks)
+        except np.linalg.LinAlgError:
+            values = self._point_row(deltas, two_photons)
+            if blocks is not None:
+                raise
+            return values, None
+        if not np.isfinite(values).all():
+            values = self._point_row(deltas, two_photons)
+        return values, terms
+
     def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray,
-                   per_delta: bool | None = None, blocks: np.ndarray | None = None,
-                   weights: np.ndarray | None = None):
+                   blocks: np.ndarray | None = None, weights: np.ndarray | None = None):
         """Absorbance on the grid deltas x two_photons, shape (nd, nt),
-        factorised per two-photon point if per_delta, else per shift; None
-        picks the cheaper orientation for this grid.
+        factorised per shift.
 
         With blocks, the derivatives (K, m, m) of a0 with respect to K
         parameters, and weights over deltas, it returns (absorbance,
         gradient), where gradient (K, nt) is the derivative of weights @
-        absorbance; the absorbance is the same either way.
-        """
-        deltas = np.asarray(deltas, dtype=float)
-        two_photons = np.asarray(two_photons, dtype=float)
-        if per_delta is None:
-            per_delta = self.per_delta(len(deltas), len(two_photons))
-        if not per_delta:
-            return self._lines(deltas, two_photons, False, blocks, weights)
-        out = self._lines(two_photons, deltas, True, blocks, weights)
-        return out.T if blocks is None else (out[0].T, out[1])
+        absorbance; the absorbance is the same either way.  The derivative
+        of one point's absorbance c x, B x = e_0, along a block A_k is
+        -adj A_k x, with the adjoint row adj = c B^-1, which the transpose
+        of the pole form gives from the same factors:
 
-    def _dense_line(self, a_u: np.ndarray, s: slice, v_block: np.ndarray,
-                    vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x = B^-1 e_0 and the adjoint row c B^-1 at every point of one line,
-        by one batched dense solve of B and B^T, for a line the pole form did
-        not take."""
-        b = np.broadcast_to(a_u, (len(vs),) + a_u.shape).copy()
-        b[:, s, s] += vs[:, None, None] * v_block
-        rhs = np.zeros((2, len(vs), len(a_u)))
-        rhs[0, :, 0] = 1.0
-        rhs[1][:, self.probe_idx] = self.probe_w
-        x, adj = np.linalg.solve(np.stack([b, b.swapaxes(1, 2)]), rhs[..., None])[..., 0]
-        return x, adj
-
-    def _lines(self, us: np.ndarray, vs: np.ndarray, per_delta: bool,
-               blocks: np.ndarray | None = None, weights: np.ndarray | None = None):
-        """Absorbance of B(u, v) for u in us (factorised) and v in vs (closed
-        form), shape (len(us), len(vs)); with blocks also the gradient of
-        absorbance(..., blocks, weights).
-
-        The derivative of one point's absorbance c x, B x = e_0, along a
-        block A_k is -adj A_k x, with the adjoint row adj = c B^-1, which the
-        transpose of the pole form gives from the same factors:
-
-            adj(u, v) = c A_u^-1 - Re((c A_u^-1)_S W [v / (1 + v lam)] W^-1 V_SS) (A_u^-1)_S:.
+            adj(d, t) = c A_d^-1 - Re((c A_d^-1)_P W [t / (1 + t lam)] W^-1 V_PP) (A_d^-1)_P:.
 
         So the weighted gradient at two-photon point t is -<G(t), A_k>, with
         G(t) = sum_d w_d adj(d, t)^T x(d, t).
         """
-        if per_delta:
-            u_block, u_idx, v_block, v_idx = (self.tp_block, self.tp_idx,
-                                              self.delta_block, self.delta_idx)
-        else:
-            u_block, u_idx, v_block, v_idx = (self.delta_block, self.delta_idx,
-                                              self.tp_block, self.tp_idx)
-        su, s = slice(u_idx.start, u_idx.stop), slice(v_idx.start, v_idx.stop)
+        deltas = np.asarray(deltas, dtype=float)
+        two_photons = np.asarray(two_photons, dtype=float)
+        p, q = (slice(r.start, r.stop) for r in (self.tp_idx, self.delta_idx))
 
-        def point_line(k):
-            return (self._point_row(vs, us[k]) if per_delta
-                    else self._point_row(us[k], vs))
+        def redo(out, grad, failed):
+            """The failed lines by _redo_line, their terms added to grad."""
+            for k in failed:
+                out[k], terms = self._redo_line(deltas[k], two_photons, blocks)
+                if blocks is not None:
+                    grad += weights[k] * terms
+            return out if blocks is None else (out, grad)
 
-        a = np.broadcast_to(self.a0, (len(us),) + self.a0.shape).copy()
-        a[:, su, su] += us[:, None, None] * u_block
+        a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
+        a[:, q, q] += deltas[:, None, None] * self.delta_block
         try:
-            ainv, w, winv_v, lam, cond = self._resolvent(a, s, v_block)
+            ainv, w, winv_v, lam, cond = self._resolvent(a)
         except np.linalg.LinAlgError:
-            out = np.array([point_line(k) for k in range(len(us))])
-            if blocks is None:
-                return out
-            shape = (len(us), len(vs), len(self.a0))
-            return out, self._gradient(a, s, v_block, vs, np.empty(shape), np.empty(shape),
-                                       range(len(us)), blocks, weights, per_delta)
-        v = vs[:, None]
-        poles = v * lam[:, None, :]  # v / (1 + v lam), (nu, nv, |S|), in place
+            return redo(np.empty((len(deltas), len(two_photons))),
+                        None if blocks is None else np.zeros((len(blocks), len(two_photons))),
+                        range(len(deltas)))
+        t = two_photons[:, None]
+        poles = t * lam[:, None, :]  # t / (1 + t lam), (nd, nt, |P|), in place
         poles += 1.0
-        np.divide(v, poles, out=poles)
+        np.divide(t, poles, out=poles)
         # Contiguous transposes, so that each per-point product is one
-        # batched matmul, and real forms of the complex S-space factors: a
-        # complex array viewed as float interleaves (Re, Im), so y_S @ c_form
-        # is W^-1 V_SS y_S in that layout, and p @ re_form is Re(W p).
+        # batched matmul, and real forms of the complex P-space factors: a
+        # complex array viewed as float interleaves (Re, Im), so y_P @ c_form
+        # is W^-1 V_PP y_P in that layout, and r @ re_form is Re(W r).
         a_t, ainv_t = (np.ascontiguousarray(b.swapaxes(1, 2)) for b in (a, ainv))
-        g_t = ainv_t[:, s]  # ((A_u^-1)_:S)^T
+        g_t = ainv_t[:, p]  # ((A_d^-1)_:P)^T
         c_form = np.ascontiguousarray(winv_v.swapaxes(1, 2), complex).view(float)
         re_form = np.ascontiguousarray(
             np.ascontiguousarray(w.conj(), complex).view(float).swapaxes(1, 2))
-        v_t = v_block.T
+        v_t = self.tp_block.T
 
         def solve(y):
-            """B(u, v)^-1 b at every point, from y = A_u^-1 b."""
-            p = (y[..., s] @ c_form).view(complex) * poles
-            z = (p.view(float) @ re_form) @ g_t  # Re q @ ((A_u^-1)_:S)^T
+            """B(d, t)^-1 b at every point, from y = A_d^-1 b."""
+            r = (y[..., p] @ c_form).view(complex) * poles
+            z = (r.view(float) @ re_form) @ g_t  # Re q @ ((A_d^-1)_:P)^T
             return np.subtract(y, z, out=z)
 
         def residual(x):
-            """B(u, v) x - e_0 at every point."""
+            """B(d, t) x - e_0 at every point."""
             res = x @ a_t
-            update = x[..., s] @ v_t
-            update *= v
-            res[..., s] += update
+            update = x[..., p] @ v_t
+            update *= t
+            res[..., p] += update
             res[..., 0] -= 1.0
             return res
 
-        x = solve(ainv[:, None, :, 0])  # A_u^-1 e_0
+        x = solve(ainv[:, None, :, 0])  # A_d^-1 e_0
         # One step of iterative refinement: where the pole terms cancel, it
         # brings x back to the accuracy of a direct solve.
         x -= solve(residual(x) @ ainv_t)
         tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
         # NaN-safe: max propagates a NaN residual, and a NaN residual or
         # condition number fails the comparison.
-        ok = np.abs(residual(x)).reshape(len(us), -1).max(axis=1) <= tol
+        ok = np.abs(residual(x)).reshape(len(deltas), -1).max(axis=1) <= tol
         ok &= cond <= _MAX_COND_W
         out = x[..., self.probe_idx] @ self.probe_w
         failed = np.flatnonzero(~ok)
-        for k in failed:
-            out[k] = point_line(k)
         if blocks is None:
-            return out
+            return redo(out, None, failed)
         # The adjoint rows of the docstring, in the real forms of solve():
-        # r @ row_form is Re(r W^-1 V_SS).
-        c_ainv = self.probe_w @ ainv[:, self.probe_idx]  # c A_u^-1, (nu, m)
-        r = (c_ainv[:, None, s] @ w) * poles
+        # r @ row_form is Re(r W^-1 V_PP).
+        c_ainv = self.probe_w @ ainv[:, self.probe_idx]  # c A_d^-1, (nd, m)
+        r = (c_ainv[:, None, p] @ w) * poles
         row_form = np.ascontiguousarray(np.ascontiguousarray(
             winv_v.swapaxes(1, 2).conj(), complex).view(float).swapaxes(1, 2))
-        adj = (r.view(float) @ row_form) @ ainv[:, s]
+        adj = (r.view(float) @ row_form) @ ainv[:, p]
         np.subtract(c_ainv[:, None], adj, out=adj)
-        return out, self._gradient(a, s, v_block, vs, x, adj, failed, blocks, weights,
-                                   per_delta)
-
-    def _gradient(self, a, s, v_block, vs, x, adj, failed, blocks, weights,
-                  per_delta) -> np.ndarray:
-        """-<G(t), A_k> for each block A_k, shape (K, nt), from the states x
-        and adjoint rows adj of every line; the failed lines' are first
-        replaced by dense solves."""
-        for k in failed:
-            x[k], adj[k] = self._dense_line(a[k], s, v_block, vs)
-        if per_delta:  # lines are two-photon points, shifts run along v
-            g = (adj * weights[:, None]).swapaxes(1, 2) @ x
-        else:
-            g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
-        return -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T)
+        x[failed] = adj[failed] = 0.0  # their terms come from _redo_line
+        g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
+        return redo(out, -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T), failed)
 
     def reduces(self, n_shifts: int) -> bool:
         """Whether _sweep reduces the weighted average over n_shifts shifts
@@ -563,13 +559,13 @@ class _SweepKernel:
 
             adj(d) = zeta D(d) R,   x(d) = y - d P D(d) beta,
 
-        and _lines' G(t) = sum_d w_d adj^T x becomes
+        and absorbance's G(t) = sum_d w_d adj^T x becomes
 
             R^T (s0 o zeta) (x) y - R^T diag(zeta) S1 diag(beta) P^T,
 
         s0_j = sum_d w_d / (1 + d lam_j), S1_ij = sum_d w_d d / ((1 + d
-        lam_i)(1 + d lam_j)): |S|^2 products per point.  Unlike _lines'
-        adjoint row, c A^-1 less a pole term, adj(d) subtracts nothing, so it
+        lam_i)(1 + d lam_j)): |S|^2 products per point.  Unlike
+        absorbance's adjoint row, c A^-1 less a pole term, adj(d) subtracts nothing, so it
         keeps its digits where c A^-1 dwarfs the adjoint rows at the sampled
         shifts.
 
@@ -577,9 +573,10 @@ class _SweepKernel:
         fails the residual check at the largest weight or either end of
         deltas, whose summed value there strays from x(d)'s read-out, or
         whose value is not finite, and every line of a call whose
-        factorisation fails, is redone as rows by absorbance.  A line whose
-        gradient alone is not finite has only its gradient redone, so its
-        value stays the one absorbance(..., blocks=None) gives.
+        factorisation fails, is redone by _redo_line: its value is weights @
+        the line's values, and its gradient the weighted sum of its terms.  A
+        line whose gradient alone is not finite has only its gradient redone,
+        so its value stays the one _average(..., blocks=None) gives.
         """
         v_block, s = self.delta_block, slice(self.delta_idx.start, self.delta_idx.stop)
         p = slice(self.tp_idx.start, self.tp_idx.stop)
@@ -606,7 +603,7 @@ class _SweepKernel:
             k = int((count > 0).sum(axis=1).max())
             alpha = zeta * beta * count
             out[:] = (alpha[:, :k] * (weights @ poles(deltas, k))).sum(axis=1).real
-            # x(d) at three shifts; NaN-safe as in _lines.
+            # x(d) at three shifts; NaN-safe as in absorbance.
             d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
             vw = v_block @ w
             pw = g @ vw  # P = G V W
@@ -637,14 +634,12 @@ class _SweepKernel:
                 np.subtract((r_t @ (s0 * zeta)[..., None]).real * y[:, None, :], core, out=core)
                 grad[:] = -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T)
                 grad_ok = ok & np.isfinite(grad).all(axis=0)
-        failed = np.flatnonzero(~grad_ok)
-        if len(failed):
-            redone = self.absorbance(deltas, two_photons[failed], True, blocks, weights)
-            rows = redone if blocks is None else redone[0]
-            value = ~ok[failed]
-            out[failed[value]] = (weights @ rows)[value]
+        for k in np.flatnonzero(~grad_ok):
+            values, terms = self._redo_line(deltas, two_photons[k], blocks)
+            if not ok[k]:
+                out[k] = weights @ values
             if blocks is not None:
-                grad[:, failed] = redone[1]
+                grad[:, k] = terms @ weights
         return out if blocks is None else (out, grad)
 
 
@@ -662,25 +657,25 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     gives them.
 
     Where kernel.reduces says so, each tile is reduced per two-photon point
-    by _SweepKernel._average; otherwise it is absorbance's rows, weighted.
-    A tile takes up to N values of the closed-form axis and max(1, N // its
-    length) values of the factorised axis, so it holds at most N points,
-    N = _POINTS for rows and _POINTS m / |Q| for a reduction, and only its
-    weighted partial leaves it: no array holds a row per shift.  Tile
+    by _SweepKernel._average; otherwise it is absorbance's rows per shift,
+    weighted.  A tile takes up to N values of the closed-form axis (shifts
+    when reduced, else two-photon points) and max(1, N // its length) values
+    of the other, so it holds at most N points, N = _POINTS for rows and
+    _POINTS m / |Q| for a reduction, and only its weighted partial leaves
+    it: no array holds a row per shift.  Tile
     boundaries are independent of the worker count and the partials are
     added in tile order, so the output is bit-identical for any number of
     workers.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
     reduce = kernel.reduces(len(shifts))
-    per_delta = reduce or kernel.per_delta(len(shifts), len(tp_grid))
     # A reduced point holds about |Q| complex numbers where a row point holds
     # a few times m floats, so a reduced tile of m / |Q| times the points
     # takes about the same memory.
     points = _POINTS * len(kernel.a0) // len(kernel.delta_idx) if reduce else _POINTS
-    closed = len(shifts) if per_delta else len(tp_grid)
+    closed = len(shifts) if reduce else len(tp_grid)
     factored = max(1, points // max(closed, 1))
-    sd, st = (points, factored) if per_delta else (factored, points)
+    sd, st = (points, factored) if reduce else (factored, points)
 
     def run(tile):
         a, b = tile
@@ -689,8 +684,8 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
             out = kernel._average(d, t, w, blocks)
             return (out, None) if blocks is None else out
         if blocks is None:
-            return w @ kernel.absorbance(d, t, per_delta), None
-        rows, grad = kernel.absorbance(d, t, per_delta, blocks, w)
+            return w @ kernel.absorbance(d, t), None
+        rows, grad = kernel.absorbance(d, t, blocks, w)
         return w @ rows, grad
 
     tiles = [(a, b) for a in range(0, len(shifts), sd) for b in range(0, len(tp_grid), st)]

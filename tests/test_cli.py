@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import eitsim
 from eitsim import (ObservedTrace, check_density_matrix, cli, default_delta_grid, evolve,
                     find_overlap_angle, fitting, local_minima, presets)
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
-from eitsim.spectra import InhomogeneitySpec, inhomogeneous_spectrum
+from eitsim.spectra import InhomogeneitySpec, _SweepKernel, inhomogeneous_spectrum
 
 
 def write_json(path, doc):
@@ -232,6 +233,16 @@ class TestPresets:
         assert set(meta) - {"preset"} == set(cfg_meta)
         assert "seed" not in meta and "seed" not in cfg_meta
         assert meta["config_hash"] == config_hash({"preset": "fig3a"})
+
+    def test_no_bundle_falls_back(self, tmp_path, capsys):
+        # Every line of every bundle is solved in pole form.  A line redone
+        # by the dense solve or point by point is correct but 7-40 times
+        # slower, so a change that sends a shipped preset there fails here.
+        with mock.patch.object(_SweepKernel, "_dense_line", side_effect=AssertionError), \
+                mock.patch.object(_SweepKernel, "_point_row", side_effect=AssertionError):
+            for name in cli.PRESETS:
+                assert cli.main(["simulate", "--preset", name, "--out",
+                                 str(tmp_path / name)]) == 0, capsys.readouterr().err
 
 
 class TestCheck:

@@ -372,23 +372,22 @@ LAMBDA_PARAMETERS = (
 class TestGradient:
     """The model gradient the fit passes as jac=, against central
     differences of the model itself, on each sweep route: rows per shift
-    and per two-photon point with the reduction ruled out, and the
-    reduction (also of a single shift)."""
+    with the reduction ruled out, and the reduction (also of a single
+    shift)."""
 
-    @pytest.fixture(params=[False, True, "reduced"], ids=["per_shift", "per_delta", "reduced"])
-    def orientation(self, request, monkeypatch):
-        monkeypatch.setattr(_SweepKernel, "per_delta", lambda self, nd, nt: request.param)
+    @pytest.fixture(params=["per_shift", "reduced"])
+    def route(self, request, monkeypatch):
         monkeypatch.setattr(_SweepKernel, "reduces", lambda self, nd: request.param == "reduced")
         return request.param
 
     @pytest.mark.parametrize("inhom", [INHOM, InhomogeneitySpec(fwhm=0.0, n_samples=1)],
                              ids=["ensemble", "fwhm0"])
-    def test_lambda(self, orientation, inhom):
+    def test_lambda(self, route, inhom):
         problem = FitProblem(presets.three_level_lambda(), inhom, LAMBDA_PARAMETERS)
         obj = _Objective([ObservedTrace(GRID, np.zeros(GRID.size))], problem)
         assert_gradient_matches(obj, obj.x0)
 
-    def test_criterion_7_five_level(self, orientation):
+    def test_criterion_7_five_level(self, route):
         # Criterion 7's model, ensemble and grid, one trace at 4 mW.
         inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=201,
                                   dense_halfwidth=30.0, dense_step=1.0)
@@ -406,7 +405,7 @@ class TestGradient:
         obj = _Objective([ObservedTrace(grid, np.zeros(grid.size), power=4e-3)], problem)
         assert_gradient_matches(obj, obj.x0)
 
-    def test_per_trace_scaling_and_targeted_names(self, orientation):
+    def test_per_trace_scaling_and_targeted_names(self, route):
         # A per_trace rate, the sqrt(P) Rabi scaling on two powers, and the
         # energy:, decay: and dephasing: paths (the last one created), on
         # the five-level model: in a Lambda every level energy is a frame
@@ -431,7 +430,7 @@ class TestGradient:
         assert_gradient_matches(obj, x)
 
     @settings(max_examples=15)
-    @given(seed=st.integers(0, 2**32 - 1), route=st.sampled_from([False, True, "reduced"]))
+    @given(seed=st.integers(0, 2**32 - 1), route=st.sampled_from(["per_shift", "reduced"]))
     def test_random_models(self, seed, route):
         spec = random_model(np.random.default_rng(seed))
         decay = spec.decays[0]
@@ -442,8 +441,7 @@ class TestGradient:
             spec, InhomogeneitySpec(fwhm=1e9, n_samples=9, auto_dense=False),
             tuple(FreeParameter(n, v, 1e2, 1e8) for n, v in zip(names, values)))
         obj = _Objective([ObservedTrace(np.linspace(-1e8, 1e8, 7), np.zeros(7))], problem)
-        with mock.patch.object(_SweepKernel, "per_delta", lambda self, nd, nt: route), \
-                mock.patch.object(_SweepKernel, "reduces", lambda self, nd: route == "reduced"):
+        with mock.patch.object(_SweepKernel, "reduces", lambda self, nd: route == "reduced"):
             assert_gradient_matches(obj, obj.x0, per_slot=False)
 
     def test_residual_jacobian(self):
@@ -475,31 +473,28 @@ class TestGradient:
 
     def test_worker_count_bit_identical(self):
         # Tiles of 12 points: 31 shifts x 9 points span 31 tiles of one shift
-        # per shift, and 27 tiles of at most 12 shifts per point, so the
-        # gradient is a sum over shift tiles in both orientations of rows
-        # (the reduction ruled out); reduced, 9 tiles of 27 shifts and 9 of
-        # 4 (12 m / |Q| = 27 points to a tile).
+        # as rows per shift (the reduction ruled out), so the gradient is a
+        # sum over shift tiles; reduced, 9 tiles of 27 shifts and 9 of 4
+        # (12 m / |Q| = 27 points to a tile).
         inhom = InhomogeneitySpec(fwhm=2e9, n_samples=31, auto_dense=False)
         grid = np.linspace(-2e7, 2e7, 9)
         grads = {}
-        routes = (False, True, "reduced")
+        routes = ("per_shift", "reduced")
         for route in routes:
             for workers in (1, 3, 8):
                 problem = FitProblem(presets.three_level_lambda(), inhom, LAMBDA_PARAMETERS,
                                      workers=workers)
                 obj = _Objective([ObservedTrace(grid, np.zeros(grid.size))], problem)
                 with mock.patch.object(spectra, "_POINTS", 12), mock.patch.object(
-                        _SweepKernel, "per_delta", lambda self, nd, nt: route), \
-                        mock.patch.object(_SweepKernel, "reduces",
-                                          lambda self, nd: route == "reduced"):
+                        _SweepKernel, "reduces", lambda self, nd: route == "reduced"):
                     grads[route, workers] = obj.model(0, obj.x0)
         for route in routes:
             value, grad = grads[route, 1]
             for workers in (3, 8):
                 assert np.array_equal(grads[route, workers][0], value)
                 assert np.array_equal(grads[route, workers][1], grad)
-            assert np.abs(grad - grads[False, 1][1]).max() <= (
-                1e-9 * np.abs(grads[False, 1][1]).max())
+            assert np.abs(grad - grads["per_shift", 1][1]).max() <= (
+                1e-9 * np.abs(grads["per_shift", 1][1]).max())
 
 
 class TestAffinity:

@@ -200,8 +200,11 @@ class TestSteadyState:
         grid = np.linspace(-1e6, 1e6, 5)
         with pytest.raises(DegenerateSteadyState):
             homogeneous_spectrum(spec, 0.0, grid)
-        with pytest.raises(DegenerateSteadyState):
-            inhomogeneous_spectrum(spec, InhomogeneitySpec(fwhm=1e8, n_samples=11), grid)
+        # as rows per shift and reduced over the shifts
+        for n_samples in (11, 101):
+            with pytest.raises(DegenerateSteadyState):
+                inhomogeneous_spectrum(spec, InhomogeneitySpec(fwhm=1e8, n_samples=n_samples),
+                                       grid)
 
     def test_scaling_invariance(self, rng):
         # multiplying all rates, Rabi amplitudes and detunings by s rescales
