@@ -7,11 +7,12 @@ optical shift (control_detuning) and the two-photon detuning each move a few
 of its coherences.  The sweep works in the real basis (rho_ii, Re rho_ij,
 Im rho_ij), where the generator of a Hermitian state is a real matrix of the
 same size and each detuning acts by 2x2 rotation blocks on one contiguous
-range of coordinates.  Every spectrum takes one of two routes.  Rows: per
-optical shift the generator is factorised once and the two-photon axis, a
-low-rank update, is evaluated in closed form over the whole grid (see
-_SweepKernel.absorbance).  Reduction: per two-photon point the state is
-rational in the shift, so an ensemble average over at least
+range of coordinates.  Along either detuning axis a line of points is then a
+low-rank update of one matrix, whose pole form one routine factorises
+(_SweepKernel._line_factors), and every spectrum takes one of two routes
+through it.  Rows: per optical shift, every point of the two-photon axis in
+closed form (see _SweepKernel.absorbance).  Reduction: per two-photon point
+the state is rational in the shift, so an ensemble average over at least
 _MIN_REDUCED_SHIFTS shifts is taken over the poles before any state is
 formed, a few complex divides per shift instead of a solve (see
 _SweepKernel._average).  A line that either route cannot take is redone by
@@ -52,7 +53,7 @@ _POINTS = 2560  # (shift, two-photon) points per tile of rows, m / |Q| times
                 # as many reduced (see _sweep); fixed so tiling does not
                 # depend on the worker count
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
-                   # one refinement (or Newton) step does not restore; such a
+                   # the Newton step on the eigenpairs does not restore; such a
                    # line is redone by a dense solve (see _redo_line)
 _MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
 _MIN_REDUCED_SHIFTS = 100  # below this many shifts rows beat _average; a line's
@@ -221,12 +222,6 @@ def _real_basis(d_delta: np.ndarray, d_tp: np.ndarray):
     return t, tinv, range(ends[0], ends[2]), range(ends[1], ends[3])
 
 
-def _inverse_and_cond(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W^-1 and the 1-norm condition number of each pole basis W in a batch."""
-    winv = np.linalg.solve(w, np.eye(w.shape[-1]))
-    return winv, np.linalg.norm(w, 1, axis=(1, 2)) * np.linalg.norm(winv, 1, axis=(1, 2))
-
-
 class _SweepKernel:
     """Steady-state solver for a fixed model over (shift, two-photon) points.
 
@@ -241,33 +236,29 @@ class _SweepKernel:
     the two-photon detuning on the coherences P of the probe-driven ground
     levels (tp_idx), the shift on the optical coherences Q (delta_idx).
 
-    Rows (absorbance): along t each B(d, t) is a rank-|P| update of A_d =
-    B(d, 0).  One LU of A_d gives A_d^-1 and, for y = A_d^-1 b, the Woodbury
-    identity with the real |P| x |P| matrix V_PP (A_d^-1)_PP = W diag(lam)
-    W^-1, V = tp_block, gives every point of the line in closed form,
+    A line holds one detuning fixed and varies the other, u, whose block V
+    acts on the range S: B = A + u E_S V E_S^T, with A the line's matrix at
+    u = 0 and E_S the columns of S.  With [y | G] = A^-1 [e_0 | E_S] and the
+    real |S| x |S| matrix M = G_SS V = W diag(lam) W^-1 (_line_factors), the
+    Woodbury identity gives every state of the line in closed form,
 
-        B(d, t)^-1 b = y - (A_d^-1)_:P Re q,   q = W [t / (1 + t lam)] W^-1 V_PP y_P.
+        x(u) = B^-1 e_0 = y - u G Re(V W D(u) W^-1 y_S),   D(u) = diag(1 / (1 + u lam)),
 
-    The poles lam come in conjugate pairs, so q is real up to rounding; only
-    the P-space terms are complex, and a line costs one factorisation plus
-    O(|P|^2 + m |P|) real work per point.  One step of iterative refinement
-    follows (it applies A_d^-1 to the residuals), and every point's residual
-    against its own B(d, t) is checked.
+    and B^-1 = A^-1 - u G Re(V W D(u) W^-1 H) with H = E_S^T A^-1.  The poles
+    lam come in conjugate pairs, so the terms are real up to rounding, and
+    only the S-space terms are complex.  Rows (absorbance) take each shift's
+    line along t, S = P, and form every state; the reduction (_average)
+    takes each two-photon point's line along d, S = Q, and sums the weights
+    over the poles of the read-out without forming any state.  An ensemble
+    of at least _MIN_REDUCED_SHIFTS shifts is reduced (see reduces); a
+    line's factors cost more than a row point's, so fewer shifts go as rows.
 
-    Reduction (_average): a weighted average over the shifts need not form
-    any state.  Per two-photon point the read-out is a sum over the line's
-    poles of terms 1 / (1 + d lam), so _average sums the weights over those
-    directly, and the gradient over products of two of them.  Its line
-    checks stand in for the per-point residual.  An ensemble of at least
-    _MIN_REDUCED_SHIFTS shifts is reduced (see reduces); a line's factors
-    cost more than a row point's, so fewer shifts go as rows.
-
-    On either route a line that fails its checks or has an ill-conditioned
-    W, and every line of a call whose factorisation fails, is redone by
-    _redo_line.  The absorbance is read from the Im rho_ge coordinate of each
-    probe coupling.  Given the derivatives of a0 with respect to some
-    parameters, both routes also return the gradient of a weighted average
-    over the shifts.
+    On either route a line whose factors fail their checks (the refined
+    residual of [y | G] and cond(W)), whose states fail theirs, and every
+    line of a call whose factorisation fails, is redone by _redo_line.  The
+    absorbance is read from the Im rho_ge coordinate of each probe coupling.
+    Given the derivatives of a0 with respect to some parameters, both routes
+    also return the gradient of a weighted average over the shifts.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -317,16 +308,6 @@ class _SweepKernel:
         dissipator."""
         h = assemble_hamiltonian(self.spec, self.frame, point)
         return Liouvillian(hamiltonian_superoperator(h) + self.dissipator)
-
-    def _resolvent(self, a: np.ndarray):
-        """A_d^-1 and the pole form of each line: W, W^-1 V_PP, lam and the
-        1-norm condition number of W, where V_PP (A_d^-1)_PP = W diag(lam)
-        W^-1 and V_PP is tp_block."""
-        p = slice(self.tp_idx.start, self.tp_idx.stop)
-        ainv = np.linalg.solve(a, np.eye(a.shape[-1]))
-        lam, w = np.linalg.eig(self.tp_block @ ainv[:, p, p])
-        winv, cond = _inverse_and_cond(w)
-        return ainv, w, winv @ self.tp_block, lam, cond
 
     def _point_row(self, deltas, two_photons) -> np.ndarray:
         """One line by single-point solves, over whichever argument is an
@@ -395,18 +376,20 @@ class _SweepKernel:
 
     def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray,
                    blocks: np.ndarray | None = None, weights: np.ndarray | None = None):
-        """Absorbance on the grid deltas x two_photons, shape (nd, nt),
-        factorised per shift.
+        """Absorbance on the grid deltas x two_photons, shape (nd, nt), as
+        rows per shift: the pole form of each shift's line along the
+        two-photon detuning (S = P), and every state x(t) from it; each point's
+        residual against its own B(d, t) is checked.
 
         With blocks, the derivatives (K, m, m) of a0 with respect to K
         parameters, and weights over deltas, it returns (absorbance,
         gradient), where gradient (K, nt) is the derivative of weights @
         absorbance; the absorbance is the same either way.  The derivative
         of one point's absorbance c x, B x = e_0, along a block A_k is
-        -adj A_k x, with the adjoint row adj = c B^-1, which the transpose
-        of the pole form gives from the same factors:
+        -adj A_k x, with the adjoint row adj = c B^-1, which the same
+        factors give as
 
-            adj(d, t) = c A_d^-1 - Re((c A_d^-1)_P W [t / (1 + t lam)] W^-1 V_PP) (A_d^-1)_P:.
+            adj(d, t) = c A^-1 - t Re((c A^-1)_P V W D(t) W^-1 H).
 
         So the weighted gradient at two-photon point t is -<G(t), A_k>, with
         G(t) = sum_d w_d adj(d, t)^T x(d, t).
@@ -414,6 +397,7 @@ class _SweepKernel:
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
         p, q = (slice(r.start, r.stop) for r in (self.tp_idx, self.delta_idx))
+        v = self.tp_block
 
         def redo(out, grad, failed):
             """The failed lines by _redo_line, their terms added to grad."""
@@ -426,65 +410,53 @@ class _SweepKernel:
         a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
         a[:, q, q] += deltas[:, None, None] * self.delta_block
         try:
-            ainv, w, winv_v, lam, cond = self._resolvent(a)
+            y, g, lam, w, winv, _, resid, cond, h = self._line_factors(
+                a, self.tp_idx, v, blocks is not None)
+            if blocks is not None:
+                c = np.zeros(len(self.a0))
+                c[self.probe_idx] = self.probe_w
+                c_ainv = np.linalg.solve(a.swapaxes(1, 2), np.broadcast_to(
+                    c, y.shape)[..., None])[..., 0]  # c A^-1
         except np.linalg.LinAlgError:
             return redo(np.empty((len(deltas), len(two_photons))),
                         None if blocks is None else np.zeros((len(blocks), len(two_photons))),
                         range(len(deltas)))
         t = two_photons[:, None]
-        poles = t * lam[:, None, :]  # t / (1 + t lam), (nd, nt, |P|), in place
+        poles = t * lam[:, None, :]  # t D(t), (nd, nt, |P|), in place
         poles += 1.0
         np.divide(t, poles, out=poles)
-        # Contiguous transposes, so that each per-point product is one
-        # batched matmul, and real forms of the complex P-space factors: a
-        # complex array viewed as float interleaves (Re, Im), so y_P @ c_form
-        # is W^-1 V_PP y_P in that layout, and r @ re_form is Re(W r).
-        a_t, ainv_t = (np.ascontiguousarray(b.swapaxes(1, 2)) for b in (a, ainv))
-        g_t = ainv_t[:, p]  # ((A_d^-1)_:P)^T
-        c_form = np.ascontiguousarray(winv_v.swapaxes(1, 2), complex).view(float)
-        re_form = np.ascontiguousarray(
-            np.ascontiguousarray(w.conj(), complex).view(float).swapaxes(1, 2))
-        v_t = self.tp_block.T
-
-        def solve(y):
-            """B(d, t)^-1 b at every point, from y = A_d^-1 b."""
-            r = (y[..., p] @ c_form).view(complex) * poles
-            z = (r.view(float) @ re_form) @ g_t  # Re q @ ((A_d^-1)_:P)^T
-            return np.subtract(y, z, out=z)
-
-        def residual(x):
-            """B(d, t) x - e_0 at every point."""
-            res = x @ a_t
-            update = x[..., p] @ v_t
-            update *= t
-            res[..., p] += update
-            res[..., 0] -= 1.0
-            return res
-
-        x = solve(ainv[:, None, :, 0])  # A_d^-1 e_0
-        # One step of iterative refinement: where the pole terms cancel, it
-        # brings x back to the accuracy of a direct solve.
-        x -= solve(residual(x) @ ainv_t)
+        # Real forms of the complex P-space factors, so that each per-point
+        # product is one real batched matmul: a complex array viewed as float
+        # interleaves (Re, Im), so r @ re_form is Re(V W r).
+        vw = v @ w
+        re_form = np.ascontiguousarray(vw.conj().view(float).swapaxes(1, 2))
+        r = poles * (winv @ y[:, p, None])[..., 0][:, None]  # t D(t) W^-1 y_P
+        x = (r.view(float) @ re_form) @ np.ascontiguousarray(g.swapaxes(1, 2))
+        np.subtract(y[:, None], x, out=x)
+        res = x @ np.ascontiguousarray(a.swapaxes(1, 2))  # B(d, t) x - e_0
+        update = x[..., p] @ np.ascontiguousarray(v.T)
+        update *= t
+        res[..., p] += update
+        res[..., 0] -= 1.0
         tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
         # NaN-safe: max propagates a NaN residual, and a NaN residual or
         # condition number fails the comparison.
-        ok = np.abs(residual(x)).reshape(len(deltas), -1).max(axis=1) <= tol
-        ok &= cond <= _MAX_COND_W
+        ok = np.abs(res).reshape(len(deltas), -1).max(axis=1) <= tol
+        ok &= (resid <= tol) & (cond <= _MAX_COND_W)
         out = x[..., self.probe_idx] @ self.probe_w
         failed = np.flatnonzero(~ok)
         if blocks is None:
             return redo(out, None, failed)
-        # The adjoint rows of the docstring, in the real forms of solve():
-        # r @ row_form is Re(r W^-1 V_PP).
-        c_ainv = self.probe_w @ ainv[:, self.probe_idx]  # c A_d^-1, (nd, m)
-        r = (c_ainv[:, None, p] @ w) * poles
+        # The adjoint rows of the docstring: r @ row_form is Re(r W^-1 H).
+        r = (c_ainv[:, None, p] @ vw) * poles
         row_form = np.ascontiguousarray(np.ascontiguousarray(
-            winv_v.swapaxes(1, 2).conj(), complex).view(float).swapaxes(1, 2))
-        adj = (r.view(float) @ row_form) @ ainv[:, p]
+            (winv @ h).swapaxes(1, 2).conj()).view(float).swapaxes(1, 2))
+        adj = r.view(float) @ row_form
         np.subtract(c_ainv[:, None], adj, out=adj)
         x[failed] = adj[failed] = 0.0  # their terms come from _redo_line
-        g = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
-        return redo(out, -(blocks.reshape(len(blocks), -1) @ g.reshape(len(g), -1).T), failed)
+        core = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
+        return redo(out, -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T),
+                    failed)
 
     def reduces(self, n_shifts: int) -> bool:
         """Whether _sweep reduces the weighted average over n_shifts shifts
@@ -494,27 +466,26 @@ class _SweepKernel:
         inhomogeneous_spectrum take the same route and agree bit for bit."""
         return n_shifts >= _MIN_REDUCED_SHIFTS and self.readout_q is not None
 
-    def _line_factors(self, a: np.ndarray, adjoint: bool):
-        """The pole form of each two-photon line A = a[k] in the shift d.
+    def _line_factors(self, a: np.ndarray, idx: range, v_block: np.ndarray, adjoint: bool):
+        """The pole form of each line A = a[k] along the detuning whose block
+        v_block acts on the range idx, S (see the class docstring).
 
-        With S = Q, V = delta_block and E_S the columns of S, [y | G] =
-        A^-1 [e_0 | E_S], refined once, and M = G_SS V = W diag(lam) W^-1
-        after one Newton step on the computed eigenpairs (Dongarra, Moler &
-        Wilkinson 1983).  Then x_S(d) = W diag(1 / (1 + d lam)) W^-1 y_S and
-        x(d) = y - d G V W diag(1 / (1 + d lam)) W^-1 y_S.  Returns y, G, lam,
-        W, W^-1, count (see below), the max |A [y | G] - [e_0 | E_S]| and
-        cond_1(W); with adjoint also H = E_S^T A^-1, refined once.
+        [y | G] = A^-1 [e_0 | E_S] is refined once, and M = G_SS V = W
+        diag(lam) W^-1 takes one Newton step on the computed eigenpairs
+        (Dongarra, Moler & Wilkinson 1983).  Returns y, G, lam, W, W^-1,
+        count (see below), the max |A [y | G] - [e_0 | E_S]| and cond_1(W);
+        with adjoint also H = E_S^T A^-1, refined once.
         """
-        q = self.delta_idx
-        s = slice(q.start, q.stop)
+        s = slice(idx.start, idx.stop)
         eye = np.eye(a.shape[-1])
-        cols = np.concatenate(([0], np.arange(q.start, q.stop)))
+        cols = np.concatenate(([0], np.arange(idx.start, idx.stop)))
+        e_cols = eye[:, cols]
         ainv = np.linalg.solve(a, eye)
         x = ainv[..., cols]
-        x -= ainv @ (a @ x - eye[:, cols])
-        resid = np.abs(a @ x - eye[:, cols]).max(axis=(1, 2))
+        x -= ainv @ (a @ x - e_cols)
+        resid = np.abs(a @ x - e_cols).max(axis=(1, 2))
         y, g = x[..., 0], x[..., 1:]
-        m_s = g[:, s] @ self.delta_block
+        m_s = g[:, s] @ v_block
         # eig rejects a non-finite batch; such a line has failed already.
         m_s[~np.isfinite(m_s).all(axis=(1, 2))] = 0.0
         lam, w = np.linalg.eig(m_s)
@@ -523,18 +494,21 @@ class _SweepKernel:
         # Im lam >= 0 lead, and count such a pair member twice, a real pole
         # once and the member with Im lam < 0 not at all.
         order = np.argsort(lam.imag < 0, axis=1, kind="stable")
-        count = np.take_along_axis(np.sign(lam.imag) + 1.0, order, axis=1)
+        lines = np.arange(len(lam))[:, None]
+        lam, w = lam[lines, order], w.swapaxes(1, 2)[lines, order].swapaxes(1, 2)
+        count = np.sign(lam.imag) + 1.0
         # eig gives real arrays to a batch whose eigenvalues are all real.
-        lam = np.take_along_axis(lam, order, axis=1).astype(complex)
-        w = np.take_along_axis(w, order[:, None, :], axis=2).astype(complex)
-        small = np.eye(len(q))
+        lam, w = lam.astype(complex), w.astype(complex)
+        small = np.eye(len(idx))
         e = np.linalg.solve(w, small) @ (m_s @ w - w * lam[:, None, :])
         gap = lam[:, None, :] - lam[:, :, None] + small  # lam_j - lam_i off the diagonal
         lam = lam + np.diagonal(e, axis1=1, axis2=2)
         # A repeated eigenvalue makes W non-finite, and cond(W) fails the line.
         with np.errstate(divide="ignore", invalid="ignore"):
             w = w + w @ (e * (1.0 - small) / gap)
-        winv, cond = _inverse_and_cond(w)
+        winv = np.linalg.solve(w, small)
+        cond = (np.abs(w).sum(axis=1).max(axis=1, initial=0.0)
+                * np.abs(winv).sum(axis=1).max(axis=1, initial=0.0))
         if not adjoint:
             return y, g, lam, w, winv, count, resid, cond, None
         z = ainv[:, s].copy()
@@ -586,7 +560,7 @@ class _SweepKernel:
         grad = None if blocks is None else np.zeros((len(blocks), len(two_photons)))
         try:
             y, g, lam, w, winv, count, resid, cond, z = self._line_factors(
-                a, blocks is not None)
+                a, self.delta_idx, v_block, blocks is not None)
         except np.linalg.LinAlgError:
             ok = grad_ok = np.zeros(len(two_photons), dtype=bool)
         else:
@@ -665,9 +639,14 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     it: no array holds a row per shift.  Tile
     boundaries are independent of the worker count and the partials are
     added in tile order, so the output is bit-identical for any number of
-    workers.
+    workers.  A non-finite shift, weight or two-photon point raises
+    ValueError: no route can solve it.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
+    for grid, name in ((shifts, "shift_grid (or control_detuning)"),
+                       (weights, "shift_grid weights"), (tp_grid, "delta_grid")):
+        if not np.isfinite(grid).all():
+            raise ValueError(f"{name} must be finite")
     reduce = kernel.reduces(len(shifts))
     # A reduced point holds about |Q| complex numbers where a row point holds
     # a few times m floats, so a reduced tile of m / |Q| times the points
@@ -926,12 +905,15 @@ def feature_centroid(trace: SpectrumTrace) -> float:
 
     The far-detuned background (median of the outermost points) is
     subtracted first, so broad ensemble offsets do not bias the centroid.
+    Raises ValueError for a trace that nowhere rises above that background.
     """
     a = trace.absorbance
     x = trace.delta_grid
     edge = max(3, len(a) // 20)
     background = np.median(np.concatenate([a[:edge], a[-edge:]]))
     height = a.max() - background
+    if not height > 0:
+        raise ValueError("no absorption feature above the background")
     mask = a > background + 0.5 * height
     w = a[mask] - background
     return float((x[mask] * w).sum() / w.sum())

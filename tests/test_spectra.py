@@ -120,6 +120,24 @@ class TestHomogeneous:
         # the feature is weak this far out but clearly above the wings
         assert tz.absorbance[k] > 1.05 * min(tz.absorbance[0], tz.absorbance[-1])
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf])
+    def test_non_finite_shift_is_rejected(self, lambda_spec, shift):
+        with pytest.raises(ValueError, match="control_detuning"):
+            homogeneous_spectrum(lambda_spec, shift, np.linspace(-1e7, 1e7, 5))
+
+    def test_non_finite_two_photon_point_is_rejected(self, lambda_spec):
+        grid = np.linspace(-1e7, 1e7, 5)
+        grid[2] = np.nan
+        with pytest.raises(ValueError, match="delta_grid"):
+            homogeneous_spectrum(lambda_spec, 0.0, grid)
+
+    def test_non_finite_weight_is_rejected(self, lambda_spec):
+        with pytest.raises(ValueError, match="shift_grid weights"):
+            inhomogeneous_spectrum(
+                lambda_spec, InhomogeneitySpec(fwhm=1e8, n_samples=3),
+                np.linspace(-1e7, 1e7, 5),
+                shift_grid=(np.array([-3e7, 0.0, 5e7]), np.array([0.25, np.nan, 0.25])))
+
     def test_no_drive_zero_trace(self, lambda_spec):
         bare = replace(
             lambda_spec, drives=(DriveField("probe", ()), DriveField("control", ()))
@@ -208,30 +226,27 @@ def point_by_point(spec, shift, grid):
     ])
 
 
-def failing_line_one(poison, reduced=False):
-    """A patch under which line 1 of every call to absorbance (or with
-    reduced, to _average) fails the pole form's check named by poison, and
-    under "singular" the factorisation of every line fails."""
-    name = "_line_factors" if reduced else "_resolvent"
-    factors = getattr(_SweepKernel, name)
+def failing_line_one(poison):
+    """A patch under which line 1 of every call to absorbance or _average
+    fails the pole form's check named by poison, and under "singular" the
+    factorisation of every line fails."""
+    factors = _SweepKernel._line_factors
 
     def poisoned(self, *args):
         if poison == "singular":
             raise np.linalg.LinAlgError("Singular matrix")
         out = factors(self, *args)
         if poison == "condition":
-            out[-2 if reduced else -1][1] = np.inf  # cond(W)
+            out[7][1] = np.inf  # cond(W)
         elif poison == "refinement":
-            out[6][1] = np.inf  # _line_factors' refined residual
+            out[6][1] = np.inf  # the refined residual of [y | G]
         elif poison == "count":
             out[5][1, 0] += 1.0  # the value sums one pole term too many
-        elif reduced:  # "residual"
-            out[0][1] += 1e-6  # every x(d) off by 1e-6, and nothing else
         else:  # "residual"
-            out[0][1] = np.nan  # A_d^-1, so every point's residual
+            out[0][1] += 1e-6  # every x off by 1e-6, and nothing else
         return out
 
-    return mock.patch.object(_SweepKernel, name, poisoned)
+    return mock.patch.object(_SweepKernel, "_line_factors", poisoned)
 
 
 def failing_dense_solve(how):
@@ -270,9 +285,9 @@ class TestSweepKernel:
                 assert np.abs(swept - single).max() <= 1e-12 * peak
                 assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
         assert len(sizes) >= 3  # |P| = 2 (n - 1) varies with the level count
-        assert fallbacks == []  # every shift went through the resolvent
+        assert fallbacks == []  # every shift went through its pole form
 
-    @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
+    @pytest.mark.parametrize("poison", ["refinement", "residual", "condition", "singular"])
     def test_failed_shift_is_redone_by_a_dense_solve(self, lambda_spec, poison):
         # Line 1 fails a check of the pole form (or the factorisation fails,
         # and every line with it): it is the dense solve's bit for bit, and
@@ -293,7 +308,7 @@ class TestSweepKernel:
             else:
                 assert np.array_equal(rows[k], clean[k])
 
-    @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
+    @pytest.mark.parametrize("poison", ["refinement", "residual", "condition", "singular"])
     def test_failed_shift_is_solved_point_by_point(self, lambda_spec, poison):
         # As test_failed_shift_is_redone_by_a_dense_solve, but the dense
         # solve fails too, by LinAlgError or by a NaN state: the line is then
@@ -347,7 +362,7 @@ class TestSweepKernel:
         clean = kernel._average(shifts, grid, weights)
         redone = range(3) if poison == "singular" else [1]
         for how in ("raise", "nan"):
-            with failing_line_one(poison, reduced=True), failing_dense_solve(how):
+            with failing_line_one(poison), failing_dense_solve(how):
                 value = kernel._average(shifts, grid, weights)
                 if how == "raise":
                     with pytest.raises(np.linalg.LinAlgError):
@@ -388,7 +403,7 @@ class TestSweepKernel:
         blocks = np.array([(kernel_at(x0 + 1e6 * np.eye(2)[k]).a0 - kernel.a0) / 1e6
                            for k in range(2)])
         clean = average(kernel, blocks)
-        with failing_line_one(poison, reduced):
+        with failing_line_one(poison):
             if reduced:
                 value, grad = kernel._average(shifts, grid, weights, blocks)
                 assert value[1] == weights @ kernel._dense_line(shifts, grid[1])[0]
@@ -608,8 +623,7 @@ class TestSweepKernel:
         dissipator = spectra.dissipator_superoperator
         monkeypatch.setattr(spectra, "dissipator_superoperator",
                             lambda *args: built.append(args) or dissipator(*args))
-        with failing_line_one("singular"), failing_line_one("singular", reduced=True), \
-                failing_dense_solve("raise"):
+        with failing_line_one("singular"), failing_dense_solve("raise"):
             kernel = _SweepKernel(lambda_spec)
             rows = kernel.absorbance(shifts, grid)
             average = kernel._average(shifts, grid, weights)
@@ -765,7 +779,7 @@ class TestReduction:
             return (out, None) if blocks is None else out
 
         clean = run()
-        with failing_line_one(poison, reduced=True):
+        with failing_line_one(poison):
             value, grad = run()
         redone = [0, 1, 2] if poison == "singular" else [1]
         for k in redone:
@@ -793,10 +807,10 @@ class TestReduction:
         clean = kernel._average(shifts, grid, weights, blocks)
         factors = _SweepKernel._line_factors
 
-        def poisoned(self, a, adjoint):
-            out = factors(self, a, adjoint)
+        def poisoned(self, a, idx, v_block, adjoint):
+            out = factors(self, a, idx, v_block, adjoint)
             if adjoint:
-                out[-1][1] = np.nan  # H, which only the gradient reads
+                out[8][1] = np.nan  # H, which only the gradient reads
             return out
 
         monkeypatch.setattr(_SweepKernel, "_line_factors", poisoned)
@@ -847,11 +861,11 @@ class TestReduction:
         factors, redo = _SweepKernel._line_factors, _SweepKernel._redo_line
         tiles, redone = [], []
 
-        def poisoned(self, a, adjoint):
-            out = factors(self, a, adjoint)
+        def poisoned(self, a, idx, v_block, adjoint):
+            out = factors(self, a, idx, v_block, adjoint)
             tiles.append(None)
             if len(tiles) == 100:  # one line per tile: grid[99]
-                out[-2][0] = np.inf  # cond(W)
+                out[7][0] = np.inf  # cond(W)
             return out
 
         def peak(blocks):
@@ -1122,6 +1136,11 @@ class TestTraceMetrics:
         x = np.linspace(-10, 10, 801)
         a = 0.2 + np.exp(-0.5 * ((x - 1.5) / 2.0) ** 2)
         assert feature_centroid(SpectrumTrace(x, a)) == pytest.approx(1.5, abs=0.05)
+
+    def test_feature_centroid_of_flat_trace_is_refused(self):
+        x = np.linspace(-10, 10, 41)
+        with pytest.raises(ValueError, match="no absorption feature"):
+            feature_centroid(SpectrumTrace(x, np.full_like(x, 0.3)))
 
     def test_default_grid_spans_feature(self, lambda_spec):
         grid = default_delta_grid(lambda_spec)
