@@ -22,8 +22,7 @@ fixed number of points and reduces each tile to its weighted partial at once,
 added in tile order (see _sweep), so memory does not grow with the shift
 count and results are bit-identical for any worker count.  For a fit the same
 pass also gives the gradient of the average with respect to parameters that
-enter the generator affinely: the reduction from its own factors, and an
-ensemble of fewer shifts from the dense solves of each shift's line.
+enter the generator affinely, from the same factors.
 """
 
 from __future__ import annotations
@@ -258,8 +257,8 @@ class _SweepKernel:
     residual of [y | G] and cond(W)), whose states fail theirs, and every
     line of a call whose factorisation fails, is redone by _redo_line.  The
     absorbance is read from the Im rho_ge coordinate of each probe coupling.
-    Given the derivatives of a0 with respect to some parameters, _average
-    and _dense_line also return a gradient; rows give values only.
+    Given the derivatives of a0 with respect to some parameters, both routes
+    also return the gradient of a weighted average over the shifts.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -358,11 +357,12 @@ class _SweepKernel:
         return values, terms
 
     def _redo_line(self, deltas, two_photons, blocks: np.ndarray | None = None):
-        """One line by _dense_line, as (values, terms); where the dense solve
-        raises (B is singular) or fails its check, the values come from
-        _point_row.  No verified gradient exists there, so with blocks
-        LinAlgError is raised once _point_row has returned (a degenerate
-        model raises DegenerateSteadyState there first)."""
+        """One line that the pole form did not take, as (values, terms) of
+        _dense_line; where the dense solve raises (B is singular) or fails
+        its check, the values come from _point_row.  No verified gradient
+        exists there, so with blocks LinAlgError is raised once _point_row
+        has returned (a degenerate model raises DegenerateSteadyState there
+        first)."""
         try:
             values, terms = self._dense_line(deltas, two_photons, blocks)
             failed = not np.isfinite(values).all()
@@ -375,49 +375,89 @@ class _SweepKernel:
                     "a line's dense solve is singular or failed its residual check")
         return values, terms
 
-    def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray) -> np.ndarray:
+    def absorbance(self, deltas: np.ndarray, two_photons: np.ndarray,
+                   blocks: np.ndarray | None = None, weights: np.ndarray | None = None):
         """Absorbance on the grid deltas x two_photons, shape (nd, nt), as
         rows per shift: the pole form of each shift's line along the
-        two-photon detuning (S = P), and every state x(t) from it, each
-        checked against its own B(d, t).  Values only (see _sweep)."""
+        two-photon detuning (S = P), and every state x(t) from it; each point's
+        residual against its own B(d, t) is checked.
+
+        With blocks, the derivatives (K, m, m) of a0 with respect to K
+        parameters, and weights over deltas, it returns (absorbance,
+        gradient), where gradient (K, nt) is the derivative of weights @
+        absorbance; the absorbance is the same either way.  The derivative
+        of one point's absorbance c x, B x = e_0, along a block A_k is
+        -adj A_k x, with the adjoint row adj = c B^-1, which the same
+        factors give as
+
+            adj(d, t) = c A^-1 - t Re((c A^-1)_P V W D(t) W^-1 H).
+
+        So the weighted gradient at two-photon point t is -<G(t), A_k>, with
+        G(t) = sum_d w_d adj(d, t)^T x(d, t).
+        """
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
         p, q = (slice(r.start, r.stop) for r in (self.tp_idx, self.delta_idx))
         v = self.tp_block
+
+        def redo(out, grad, failed):
+            """The failed lines by _redo_line, their terms added to grad."""
+            for k in failed:
+                out[k], terms = self._redo_line(deltas[k], two_photons, blocks)
+                if blocks is not None:
+                    grad += weights[k] * terms
+            return out if blocks is None else (out, grad)
+
         a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
         a[:, q, q] += deltas[:, None, None] * self.delta_block
         try:
-            y, g, lam, w, winv, _, resid, cond, _ = self._line_factors(a, self.tp_idx, v, False)
+            y, g, lam, w, winv, _, resid, cond, h = self._line_factors(
+                a, self.tp_idx, v, blocks is not None)
+            if blocks is not None:
+                c = np.zeros(len(self.a0))
+                c[self.probe_idx] = self.probe_w
+                c_ainv = np.linalg.solve(a.swapaxes(1, 2), np.broadcast_to(
+                    c, y.shape)[..., None])[..., 0]  # c A^-1
         except np.linalg.LinAlgError:
-            out = np.empty((len(deltas), len(two_photons)))
-            failed = range(len(deltas))
-        else:
-            t = two_photons[:, None]
-            poles = t * lam[:, None, :]  # t D(t), (nd, nt, |P|), in place
-            poles += 1.0
-            np.divide(t, poles, out=poles)
-            # The real form of V W, so that each per-point product is one
-            # real batched matmul: a complex array viewed as float
-            # interleaves (Re, Im), so r @ re_form is Re(V W r).
-            re_form = np.ascontiguousarray((v @ w).conj().view(float).swapaxes(1, 2))
-            r = poles * (winv @ y[:, p, None])[..., 0][:, None]  # t D(t) W^-1 y_P
-            x = (r.view(float) @ re_form) @ np.ascontiguousarray(g.swapaxes(1, 2))
-            np.subtract(y[:, None], x, out=x)
-            res = x @ np.ascontiguousarray(a.swapaxes(1, 2))  # B(d, t) x - e_0
-            update = x[..., p] @ np.ascontiguousarray(v.T)
-            update *= t
-            res[..., p] += update
-            res[..., 0] -= 1.0
-            tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
-            # NaN-safe: max propagates a NaN residual, and a NaN residual or
-            # condition number fails the comparison.
-            ok = np.abs(res).reshape(len(deltas), -1).max(axis=1) <= tol
-            ok &= (resid <= tol) & (cond <= _MAX_COND_W)
-            out = x[..., self.probe_idx] @ self.probe_w
-            failed = np.flatnonzero(~ok)
-        for k in failed:
-            out[k] = self._redo_line(deltas[k], two_photons)[0]
-        return out
+            return redo(np.empty((len(deltas), len(two_photons))),
+                        None if blocks is None else np.zeros((len(blocks), len(two_photons))),
+                        range(len(deltas)))
+        t = two_photons[:, None]
+        poles = t * lam[:, None, :]  # t D(t), (nd, nt, |P|), in place
+        poles += 1.0
+        np.divide(t, poles, out=poles)
+        # Real forms of the complex P-space factors, so that each per-point
+        # product is one real batched matmul: a complex array viewed as float
+        # interleaves (Re, Im), so r @ re_form is Re(V W r).
+        vw = v @ w
+        re_form = np.ascontiguousarray(vw.conj().view(float).swapaxes(1, 2))
+        r = poles * (winv @ y[:, p, None])[..., 0][:, None]  # t D(t) W^-1 y_P
+        x = (r.view(float) @ re_form) @ np.ascontiguousarray(g.swapaxes(1, 2))
+        np.subtract(y[:, None], x, out=x)
+        res = x @ np.ascontiguousarray(a.swapaxes(1, 2))  # B(d, t) x - e_0
+        update = x[..., p] @ np.ascontiguousarray(v.T)
+        update *= t
+        res[..., p] += update
+        res[..., 0] -= 1.0
+        tol = 1e-10 * np.linalg.norm(a, np.inf, axis=(1, 2))
+        # NaN-safe: max propagates a NaN residual, and a NaN residual or
+        # condition number fails the comparison.
+        ok = np.abs(res).reshape(len(deltas), -1).max(axis=1) <= tol
+        ok &= (resid <= tol) & (cond <= _MAX_COND_W)
+        out = x[..., self.probe_idx] @ self.probe_w
+        failed = np.flatnonzero(~ok)
+        if blocks is None:
+            return redo(out, None, failed)
+        # The adjoint rows of the docstring: r @ row_form is Re(r W^-1 H).
+        r = (c_ainv[:, None, p] @ vw) * poles
+        row_form = np.ascontiguousarray(np.ascontiguousarray(
+            (winv @ h).swapaxes(1, 2).conj()).view(float).swapaxes(1, 2))
+        adj = r.view(float) @ row_form
+        np.subtract(c_ainv[:, None], adj, out=adj)
+        x[failed] = adj[failed] = 0.0  # their terms come from _redo_line
+        core = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
+        return redo(out, -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T),
+                    failed)
 
     def reduces(self, n_shifts: int) -> bool:
         """Whether _sweep reduces the weighted average over n_shifts shifts
@@ -479,8 +519,8 @@ class _SweepKernel:
     def _average(self, deltas: np.ndarray, two_photons: np.ndarray,
                  weights: np.ndarray, blocks: np.ndarray | None = None):
         """weights @ absorbance(deltas, two_photons), shape (nt,), reduced over
-        the shifts in pole space; with blocks, the derivatives (K, m, m) of a0
-        with respect to K parameters, also its gradient (K, nt).
+        the shifts in pole space; with blocks also its gradient (K, nt) as
+        absorbance gives it.
 
         Per two-photon line, with the factors of _line_factors, beta =
         W^-1 y_S, D(d) = diag(1 / (1 + d lam)) and the read-out c, which
@@ -488,23 +528,21 @@ class _SweepKernel:
 
             sum_d w_d c x(d) = Re sum_j count_j (c_S W)_j beta_j sum_d w_d / (1 + d lam_j),
 
-        about |S| / 2 complex divides per point.  The derivative of one
-        point's c x, B x = e_0, along a block A_k is -adj A_k x, with the
-        adjoint row adj = c B^-1, so the weighted gradient is -<G(t), A_k>
-        with G(t) = sum_d w_d adj(d)^T x(d).  adj(d) takes rows S of B(d)^-1
-        only, (I + d M)^-1 H = W D(d) W^-1 H with H = E_S^T A^-1, so with
-        zeta = c_S W, R = W^-1 H and P = G V W,
+        about |S| / 2 complex divides per point.  The adjoint row c B(d)^-1
+        takes rows S of B(d)^-1 only, (I + d M)^-1 H = W D(d) W^-1 H with H =
+        E_S^T A^-1, so with zeta = c_S W, R = W^-1 H and P = G V W,
 
             adj(d) = zeta D(d) R,   x(d) = y - d P D(d) beta,
 
-        and G(t) becomes
+        and absorbance's G(t) = sum_d w_d adj^T x becomes
 
             R^T (s0 o zeta) (x) y - R^T diag(zeta) S1 diag(beta) P^T,
 
         s0_j = sum_d w_d / (1 + d lam_j), S1_ij = sum_d w_d d / ((1 + d
-        lam_i)(1 + d lam_j)): |S|^2 products per point.  adj(d) subtracts
-        nothing, so it keeps its digits where c A^-1 dwarfs the adjoint rows
-        at the sampled shifts.
+        lam_i)(1 + d lam_j)): |S|^2 products per point.  Unlike
+        absorbance's adjoint row, c A^-1 less a pole term, adj(d) subtracts nothing, so it
+        keeps its digits where c A^-1 dwarfs the adjoint rows at the sampled
+        shifts.
 
         A line whose refined residual or cond(W) fails, whose state x(d)
         fails the residual check at the largest weight or either end of
@@ -590,24 +628,20 @@ def _check_workers(workers) -> None:
 def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
            blocks: np.ndarray | None = None):
     """weights @ absorbance over shift_grid = (shifts, weights), reduced tile
-    by tile; with blocks, the derivatives (K, m, m) of a0 with respect to K
-    parameters, (average, gradient), where gradient (K, nt) is the
-    derivative of the average.
+    by tile; with blocks, (average, gradient) as _SweepKernel.absorbance
+    gives them.
 
     Where kernel.reduces says so, each tile is reduced per two-photon point
-    by _SweepKernel._average, value and gradient.  Otherwise its value is
-    absorbance's rows per shift, weighted, so that a fit and
-    inhomogeneous_spectrum agree bit for bit, and its gradient is the
-    weighted sum of each shift's _redo_line terms.  A tile takes up to N
-    values of the closed-form axis (shifts when reduced, else two-photon
-    points) and max(1, N // its length) values of the other, so it holds at
-    most N points, N = _POINTS for rows and _POINTS m / |Q| for a reduction,
-    and only its weighted partial leaves it: no array holds a row per shift.
-    Tile boundaries are independent of the worker count and the partials
-    are added in tile order, so the output is bit-identical for any number
-    of workers.  A shift_grid other than two 1-D arrays of one non-zero
-    length, or a non-finite shift, weight or two-photon point, raises
-    ValueError: no route can solve it.
+    by _SweepKernel._average; otherwise it is absorbance's rows per shift,
+    weighted.  A tile takes up to N values of the closed-form axis (shifts
+    when reduced, else two-photon points) and max(1, N // its length) values
+    of the other, so it holds at most N points, N = _POINTS for rows and
+    _POINTS m / |Q| for a reduction, and only its weighted partial leaves
+    it: no array holds a row per shift.  Tile boundaries are independent of
+    the worker count and the partials are added in tile order, so the output
+    is bit-identical for any number of workers.  A shift_grid other than two
+    1-D arrays of one non-zero length, or a non-finite shift, weight or
+    two-photon point, raises ValueError: no route can solve it.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
     if shifts.ndim != 1 or shifts.shape != weights.shape or not len(shifts):
@@ -632,9 +666,10 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
         if reduce:
             out = kernel._average(d, t, w, blocks)
             return (out, None) if blocks is None else out
-        grad = None if blocks is None else sum(
-            wk * kernel._redo_line(dk, t, blocks)[1] for dk, wk in zip(d, w))
-        return w @ kernel.absorbance(d, t), grad
+        if blocks is None:
+            return w @ kernel.absorbance(d, t), None
+        rows, grad = kernel.absorbance(d, t, blocks, w)
+        return w @ rows, grad
 
     tiles = [(a, b) for a in range(0, len(shifts), sd) for b in range(0, len(tp_grid), st)]
     # glibc returns freed heap to the OS whenever the free space at its top

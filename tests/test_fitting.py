@@ -371,25 +371,19 @@ LAMBDA_PARAMETERS = (
 
 class TestGradient:
     """The model gradient the fit passes as jac=, against central
-    differences of the model itself, on each sweep route: the reduction
-    (also of a single shift), and the few-shift route, rows per shift for
-    the value and the dense solves for the gradient."""
+    differences of the model itself, on each sweep route: rows per shift
+    with the reduction ruled out, and the reduction (also of a single
+    shift)."""
 
     @pytest.fixture(params=["per_shift", "reduced"])
     def route(self, request, monkeypatch):
-        """The ensemble a test runs on its route: as given, reduced; or, per
-        shift, at most 31 samples without the dense tier, which _sweep
-        itself sends to rows."""
-        if request.param == "reduced":
-            monkeypatch.setattr(_SweepKernel, "reduces", lambda self, nd: True)
-            return lambda inhom: inhom
-        return lambda inhom: replace(inhom, n_samples=min(inhom.n_samples, 31),
-                                     auto_dense=False)
+        monkeypatch.setattr(_SweepKernel, "reduces", lambda self, nd: request.param == "reduced")
+        return request.param
 
     @pytest.mark.parametrize("inhom", [INHOM, InhomogeneitySpec(fwhm=0.0, n_samples=1)],
                              ids=["ensemble", "fwhm0"])
     def test_lambda(self, route, inhom):
-        problem = FitProblem(presets.three_level_lambda(), route(inhom), LAMBDA_PARAMETERS)
+        problem = FitProblem(presets.three_level_lambda(), inhom, LAMBDA_PARAMETERS)
         obj = _Objective([ObservedTrace(GRID, np.zeros(GRID.size))], problem)
         assert_gradient_matches(obj, obj.x0)
 
@@ -400,7 +394,7 @@ class TestGradient:
         grid = np.linspace(-1.5e7, 2.0e7, 141)
         problem = FitProblem(
             template=presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6),
-            inhom=route(inhom),
+            inhom=inhom,
             parameters=(
                 FreeParameter("gamma_e", 3.0e6, 0.5e6, 2e7),
                 FreeParameter("gamma_g_star", 0.3e6, 1e3, 2e6),
@@ -419,7 +413,7 @@ class TestGradient:
         grid = np.linspace(-1.5e7, 2e7, 21)
         problem = FitProblem(
             template=presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6),
-            inhom=route(InhomogeneitySpec(fwhm=2e9, n_samples=31)),
+            inhom=InhomogeneitySpec(fwhm=2e9, n_samples=31),
             parameters=(
                 FreeParameter("gamma_e_deph", 2e6, 1e3, 3e7, per_trace=True),
                 FreeParameter("omega_c", 6e6, 1e5, 5e7),

@@ -323,8 +323,9 @@ class TestSweepKernel:
     def test_failed_shift_is_solved_point_by_point(self, lambda_spec, poison):
         # As test_failed_shift_is_redone_by_a_dense_solve, but the dense
         # solve fails too, by LinAlgError or by a NaN state: the line is then
-        # _point_row's, bit for bit.  A few-shift gradient comes from the
-        # dense solves, so _sweep refuses it.
+        # _point_row's, bit for bit.  The few-shift _sweep refuses a
+        # gradient: B is singular where the dense solve raised, and its
+        # terms are unverified where its check failed.
         grid = np.linspace(-1e7, 1e7, 21)
         shifts = np.array([-3e7, 0.0, 5e7])
         weights = np.array([0.25, 0.5, 0.25])
@@ -395,10 +396,8 @@ class TestSweepKernel:
     @pytest.mark.parametrize("poison", ["residual", "condition", "singular"])
     def test_failed_line_gradient(self, lambda_spec, poison, route):
         # Line 1 fails as in the *_is_redone_by_a_dense_solve tests: its
-        # value is the dense solve's bit for bit.  The gradient, reduced
-        # from that line's solves of B and B^T, and for the 3 shifts of
-        # per_shift from every line's (the few-shift _sweep), matches
-        # central differences.
+        # value is the dense solve's bit for bit, and its gradient, from the
+        # same solves of B and B^T, matches central differences.
         reduced = route == "reduced"
         lines, points = np.array([-1e7, 2e6, 1e7]), np.linspace(-1e8, 1e8, 21)
         shifts, grid = (points, lines) if reduced else (lines * 3, points / 10)
@@ -414,21 +413,20 @@ class TestSweepKernel:
         def average(kernel, blocks=None):
             if reduced:
                 return kernel._average(shifts, grid, weights, blocks)
-            return spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)
+            out = kernel.absorbance(shifts, grid, blocks, weights)
+            return weights @ out if blocks is None else (weights @ out[0], out[1])
 
         kernel = kernel_at(x0)
-        assert reduced or not kernel.reduces(len(shifts))  # _sweep's few-shift route
         blocks = np.array([(kernel_at(x0 + 1e6 * np.eye(2)[k]).a0 - kernel.a0) / 1e6
                            for k in range(2)])
         clean = average(kernel, blocks)
         with failing_line_one(poison):
-            value, grad = average(kernel, blocks)
             if reduced:
+                value, grad = kernel._average(shifts, grid, weights, blocks)
                 assert value[1] == weights @ kernel._dense_line(shifts, grid[1])[0]
             else:
-                rows = kernel.absorbance(shifts, grid)
+                rows, grad = kernel.absorbance(shifts, grid, blocks, weights)
                 assert np.array_equal(rows[1], kernel._dense_line(shifts[1], grid)[0])
-                assert np.array_equal(value, weights @ rows)
         for k in range(2):
             h = 1e-3 * x0[k]
 
@@ -540,9 +538,9 @@ class TestSweepKernel:
         tiles = []
         absorbance, average = _SweepKernel.absorbance, _SweepKernel._average
 
-        def recorded(self, d, t):
+        def recorded(self, d, t, blocks=None, w=None):
             tiles.append((len(d), len(t), "rows"))
-            return absorbance(self, d, t)
+            return absorbance(self, d, t, blocks, w)
 
         def recorded_average(self, d, t, w, blocks=None):
             tiles.append((len(d), len(t), "reduced"))
@@ -680,10 +678,10 @@ class TestSweepKernel:
             grid = np.linspace(-1e8, 1e8, n_tp)
             chunks, closed = [], []
 
-            def recorded(self, d, t):
+            def recorded(self, d, t, blocks=None, w=None):
                 chunks.append("rows")
                 closed.append(len(t))
-                return absorbance(self, d, t)
+                return absorbance(self, d, t, blocks, w)
 
             def recorded_average(self, d, t, w, blocks=None):
                 chunks.append("reduced")
@@ -740,13 +738,11 @@ class TestReduction:
            points=st.integers(1, 7))
     def test_matches_point_wise_averages(self, seed, n_shifts, points):
         # The value against point-wise steady_state, to 1e-12 of peak.  The
-        # gradient, of the reduction and of the few-shift _sweep (dense
-        # solves), in units of each parameter's value, against the average
-        # of states and adjoint rows solved in long double: over 200 draws
-        # the reduction came within 1e-12 of peak on 192 and within 2.5e-11
-        # on all, and the dense solves within 1e-12 on 193 and within
-        # 1.5e-10 on 199.  The last, with cond(B) about 5e9, was off by
-        # 1.6e-8.
+        # gradient, of the reduction and of rows per shift, in units of each
+        # parameter's value, against the average of states and adjoint rows
+        # solved in long double: over 200 draws the reduction came within
+        # 1e-12 of peak on 193 and within 2.5e-11 on all, and the rows
+        # within 1e-12 on 194 and within 4.2e-11 on all.
         rng = np.random.default_rng(seed)
         spec = random_model(rng)
         kernel = _SweepKernel(spec)
@@ -775,9 +771,8 @@ class TestReduction:
                 x = extended_solve(b, np.eye(len(b))[0])
                 adj = extended_solve(b.T, c)
                 exact[:, j] -= w * (blocks.astype(np.longdouble) @ x @ adj)
-        assert not kernel.reduces(n_shifts)
-        few_grad = spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)[1]
-        for g in (grad, few_grad):
+        rows_grad = kernel.absorbance(shifts, grid, blocks, weights)[1]
+        for g in (grad, rows_grad):
             assert (np.abs(g - exact.astype(float)) * values[:, None]).max() <= 1e-9 * peak
 
     @pytest.mark.parametrize("gradient", [False, True], ids=["value", "gradient"])
