@@ -7,10 +7,10 @@ change from trace to trace are per_trace parameters.
 Per-trace linear scale and constant offset are always profiled out
 analytically (observed signals come in arbitrary units on a background), so
 the optimizer only sees the physical parameters.  Its Jacobian is exact: the
-sweep kernel returns each model spectrum's gradient with the spectrum, by one
-adjoint solve per point, and the profiled nuisances enter by the
-variable-projection derivative (Golub & Pereyra 1973, SIAM J. Numer. Anal.
-10:413).  No finite differences are taken.  The optimizer,
+sweep kernel returns each model spectrum's gradient with the spectrum, its
+adjoint rows formed from the same factors as the states, and the profiled
+nuisances enter by the variable-projection derivative (Golub & Pereyra 1973,
+SIAM J. Numer. Anal. 10:413).  No finite differences are taken.  The optimizer,
 scipy.optimize.least_squares, is imported by the first fit() call, so
 importing this module loads no scipy.
 """
@@ -50,6 +50,11 @@ class ObservedTrace:
         object.__setattr__(self, "signal", np.asarray(self.signal, float))
         if self.sigma is not None:
             object.__setattr__(self, "sigma", np.asarray(self.sigma, float))
+        for name, low in (("delta_grid", -np.inf), ("signal", -np.inf),
+                          ("sigma", 0), ("power", 0)):
+            value = getattr(self, name)
+            if value is not None and not np.all((low < value) & (value < np.inf)):
+                raise ValueError(f"{name} must be finite" + (" and > 0" if low == 0 else ""))
         if np.any(np.diff(self.delta_grid) <= 0):
             raise ValueError("delta_grid must be strictly increasing")
         if len(self.signal) != len(self.delta_grid):
@@ -86,6 +91,8 @@ class FitProblem:
 
     def __post_init__(self):
         _check_workers(self.workers)
+        if not 0 < self.power_ref < np.inf:
+            raise ValueError("power_ref must be finite and > 0")
         names = [p.name for p in self.parameters]
         for k, name in enumerate(names):
             if name in names[:k]:

@@ -244,7 +244,7 @@ class _SweepKernel:
 
         x(u) = B^-1 e_0 = y - u G Re(V W D(u) W^-1 y_S),   D(u) = diag(1 / (1 + u lam)),
 
-    and B^-1 = A^-1 - u G Re(V W D(u) W^-1 H) with H = E_S^T A^-1.  The poles
+    and, with H = E_S^T A^-1, rows S of B(u)^-1 = W D(u) W^-1 H.  The poles
     lam come in conjugate pairs, so the terms are real up to rounding, and
     only the S-space terms are complex.  Rows (absorbance) take each shift's
     line along t, S = P, and form every state; the reduction (_average)
@@ -253,12 +253,15 @@ class _SweepKernel:
     of at least _MIN_REDUCED_SHIFTS shifts is reduced (see reduces); a
     line's factors cost more than a row point's, so fewer shifts go as rows.
 
+    The absorbance c x is read from the Im rho_ge coordinate of each probe
+    coupling, which both detunings move, so c lies in S on either route
+    (__init__ refuses a model where it does not).  Given the derivatives of
+    a0 with respect to some parameters, both routes also return the gradient
+    of a weighted average over the shifts, by the adjoint row c B(u)^-1 =
+    zeta D(u) R with zeta = c_S W and R = W^-1 H, which subtracts nothing.
     On either route a line whose factors fail their checks (the refined
     residual of [y | G] and cond(W)), whose states fail theirs, and every
-    line of a call whose factorisation fails, is redone by _redo_line.  The
-    absorbance is read from the Im rho_ge coordinate of each probe coupling.
-    Given the derivatives of a0 with respect to some parameters, both routes
-    also return the gradient of a weighted average over the shifts.
+    line of a call whose factorisation fails, is redone by _redo_line.
     """
 
     def __init__(self, spec: LevelSystemSpec):
@@ -293,15 +296,15 @@ class _SweepKernel:
         c = np.zeros(n * n)
         np.add.at(c, idx, weights)
         np.add.at(c, idx_t, -weights)
-        readout = (c @ tinv).imag
-        self.probe_idx = np.flatnonzero(readout)
-        self.probe_w = readout[self.probe_idx]
-        # _average reads the probe from Q alone.  A valid model's probe
-        # couplings are ground-excited, so their coherences lie there; for
-        # any other model (none for one without excited levels) it is None.
-        q = self.delta_idx
-        inside = (self.probe_idx >= q.start) & (self.probe_idx < q.stop)
-        self.readout_q = readout[q.start : q.stop] if len(q) and inside.all() else None
+        self.readout = (c @ tinv).imag
+        self.probe_idx = np.flatnonzero(self.readout)
+        self.probe_w = self.readout[self.probe_idx]
+        # Both routes read the probe from the range they vary, so it must lie
+        # in P and Q, [delta_idx.start, tp_idx.stop).
+        inside = (self.probe_idx >= self.delta_idx.start) & (self.probe_idx < self.tp_idx.stop)
+        if not (len(self.delta_idx) and inside.all()):
+            raise ValueError("the probe read-out must lie in coherences both detunings move: "
+                             "the model needs an excited level and ground-excited probe couplings")
 
     def _liouvillian(self, point: DetuningPoint) -> Liouvillian:
         """build_liouvillian's generator at point, from the kernel's frame and
@@ -328,9 +331,8 @@ class _SweepKernel:
         d, t = np.broadcast_arrays(deltas, two_photons)
         p, q = (slice(r.start, r.stop) for r in (self.tp_idx, self.delta_idx))
         m = len(self.a0)
-        e_0, c = np.zeros(m), np.zeros(m)
+        e_0 = np.zeros(m)
         e_0[0] = 1.0
-        c[self.probe_idx] = self.probe_w
         values = np.empty(d.size)
         terms = None if blocks is None else np.empty((len(blocks), d.size))
         ok = True
@@ -349,8 +351,10 @@ class _SweepKernel:
                    <= 1e-10 * np.linalg.norm(b, np.inf, axis=(1, 2))).all()
             values[k] = x[:, self.probe_idx] @ self.probe_w
             if blocks is not None:
-                adj = np.linalg.solve(b.swapaxes(1, 2),
-                                      np.broadcast_to(c, (len(b), m))[..., None])[..., 0]
+                # A second factorisation of B, as solve keeps no LU, costs
+                # less than one inverse: 2.2 against 3.1 ms at m = 25, 226 points.
+                adj = np.linalg.solve(b.swapaxes(1, 2), np.broadcast_to(
+                    self.readout, (len(b), m))[..., None])[..., 0]
                 terms[:, k] = -((adj @ blocks) * x).sum(axis=2)
         if not ok:
             values[:] = np.nan
@@ -387,13 +391,9 @@ class _SweepKernel:
         gradient), where gradient (K, nt) is the derivative of weights @
         absorbance; the absorbance is the same either way.  The derivative
         of one point's absorbance c x, B x = e_0, along a block A_k is
-        -adj A_k x, with the adjoint row adj = c B^-1, which the same
-        factors give as
-
-            adj(d, t) = c A^-1 - t Re((c A^-1)_P V W D(t) W^-1 H).
-
-        So the weighted gradient at two-photon point t is -<G(t), A_k>, with
-        G(t) = sum_d w_d adj(d, t)^T x(d, t).
+        -adj A_k x, with the adjoint row adj(d, t) = zeta D(t) R of the class
+        docstring.  So the weighted gradient at two-photon point t is
+        -<G(t), A_k>, with G(t) = sum_d w_d adj(d, t)^T x(d, t).
         """
         deltas = np.asarray(deltas, dtype=float)
         two_photons = np.asarray(two_photons, dtype=float)
@@ -411,13 +411,8 @@ class _SweepKernel:
         a = np.broadcast_to(self.a0, (len(deltas),) + self.a0.shape).copy()
         a[:, q, q] += deltas[:, None, None] * self.delta_block
         try:
-            y, g, lam, w, winv, _, resid, cond, h = self._line_factors(
+            y, g, lam, w, winv, _, resid, cond, r_s = self._line_factors(
                 a, self.tp_idx, v, blocks is not None)
-            if blocks is not None:
-                c = np.zeros(len(self.a0))
-                c[self.probe_idx] = self.probe_w
-                c_ainv = np.linalg.solve(a.swapaxes(1, 2), np.broadcast_to(
-                    c, y.shape)[..., None])[..., 0]  # c A^-1
         except np.linalg.LinAlgError:
             return redo(np.empty((len(deltas), len(two_photons))),
                         None if blocks is None else np.zeros((len(blocks), len(two_photons))),
@@ -429,8 +424,7 @@ class _SweepKernel:
         # Real forms of the complex P-space factors, so that each per-point
         # product is one real batched matmul: a complex array viewed as float
         # interleaves (Re, Im), so r @ re_form is Re(V W r).
-        vw = v @ w
-        re_form = np.ascontiguousarray(vw.conj().view(float).swapaxes(1, 2))
+        re_form = np.ascontiguousarray((v @ w).conj().view(float).swapaxes(1, 2))
         r = poles * (winv @ y[:, p, None])[..., 0][:, None]  # t D(t) W^-1 y_P
         x = (r.view(float) @ re_form) @ np.ascontiguousarray(g.swapaxes(1, 2))
         np.subtract(y[:, None], x, out=x)
@@ -448,24 +442,27 @@ class _SweepKernel:
         failed = np.flatnonzero(~ok)
         if blocks is None:
             return redo(out, None, failed)
-        # The adjoint rows of the docstring: r @ row_form is Re(r W^-1 H).
-        r = (c_ainv[:, None, p] @ vw) * poles
+        # The adjoint rows zeta D(t) R, formed in place as poles is; r @
+        # row_form is Re(r R), written over the spent residual to keep a
+        # tile's peak memory down.
+        r = t * lam[:, None, :]
+        r += 1.0
+        np.divide((self.readout[p] @ w)[:, None], r, out=r)
         row_form = np.ascontiguousarray(np.ascontiguousarray(
-            (winv @ h).swapaxes(1, 2).conj()).view(float).swapaxes(1, 2))
-        adj = r.view(float) @ row_form
-        np.subtract(c_ainv[:, None], adj, out=adj)
+            r_s.swapaxes(1, 2).conj()).view(float).swapaxes(1, 2))
+        adj = np.matmul(r.view(float), row_form, out=res)
+        adj *= weights[:, None, None]
         x[failed] = adj[failed] = 0.0  # their terms come from _redo_line
-        core = (adj * weights[:, None, None]).transpose(1, 2, 0) @ x.swapaxes(0, 1)
+        core = adj.transpose(1, 2, 0) @ x.swapaxes(0, 1)
         return redo(out, -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T),
                     failed)
 
     def reduces(self, n_shifts: int) -> bool:
         """Whether _sweep reduces the weighted average over n_shifts shifts
-        by _average: for at least _MIN_REDUCED_SHIFTS of them, unless the
-        model's read-out lies outside Q (readout_q is None).  The rule does
+        by _average: for at least _MIN_REDUCED_SHIFTS of them.  The rule does
         not read whether a gradient is asked for, so a fit and
         inhomogeneous_spectrum take the same route and agree bit for bit."""
-        return n_shifts >= _MIN_REDUCED_SHIFTS and self.readout_q is not None
+        return n_shifts >= _MIN_REDUCED_SHIFTS
 
     def _line_factors(self, a: np.ndarray, idx: range, v_block: np.ndarray, adjoint: bool):
         """The pole form of each line A = a[k] along the detuning whose block
@@ -475,7 +472,7 @@ class _SweepKernel:
         diag(lam) W^-1 takes one Newton step on the computed eigenpairs
         (Dongarra, Moler & Wilkinson 1983).  Returns y, G, lam, W, W^-1,
         count (see below), the max |A [y | G] - [e_0 | E_S]| and cond_1(W);
-        with adjoint also H = E_S^T A^-1, refined once.
+        with adjoint also R = W^-1 H, H = E_S^T A^-1 refined once.
         """
         s = slice(idx.start, idx.stop)
         eye = np.eye(a.shape[-1])
@@ -512,9 +509,9 @@ class _SweepKernel:
                 * np.abs(winv).sum(axis=1).max(axis=1, initial=0.0))
         if not adjoint:
             return y, g, lam, w, winv, count, resid, cond, None
-        z = ainv[:, s].copy()
-        z -= (z @ a - eye[s]) @ ainv
-        return y, g, lam, w, winv, count, resid, cond, z
+        h = ainv[:, s].copy()
+        h -= (h @ a - eye[s]) @ ainv
+        return y, g, lam, w, winv, count, resid, cond, winv @ h
 
     def _average(self, deltas: np.ndarray, two_photons: np.ndarray,
                  weights: np.ndarray, blocks: np.ndarray | None = None):
@@ -523,26 +520,19 @@ class _SweepKernel:
         absorbance gives it.
 
         Per two-photon line, with the factors of _line_factors, beta =
-        W^-1 y_S, D(d) = diag(1 / (1 + d lam)) and the read-out c, which
-        lies in S, x_S(d) = W D(d) beta and
+        W^-1 y_S, D(d) = diag(1 / (1 + d lam)) and zeta = c_S W (the class
+        docstring), x_S(d) = W D(d) beta and
 
-            sum_d w_d c x(d) = Re sum_j count_j (c_S W)_j beta_j sum_d w_d / (1 + d lam_j),
+            sum_d w_d c x(d) = Re sum_j count_j zeta_j beta_j sum_d w_d / (1 + d lam_j),
 
-        about |S| / 2 complex divides per point.  The adjoint row c B(d)^-1
-        takes rows S of B(d)^-1 only, (I + d M)^-1 H = W D(d) W^-1 H with H =
-        E_S^T A^-1, so with zeta = c_S W, R = W^-1 H and P = G V W,
-
-            adj(d) = zeta D(d) R,   x(d) = y - d P D(d) beta,
-
-        and absorbance's G(t) = sum_d w_d adj^T x becomes
+        about |S| / 2 complex divides per point.  With the adjoint row
+        adj(d) = zeta D(d) R, x(d) = y - d P D(d) beta and P = G V W,
+        absorbance's G(t) = sum_d w_d adj^T x becomes
 
             R^T (s0 o zeta) (x) y - R^T diag(zeta) S1 diag(beta) P^T,
 
         s0_j = sum_d w_d / (1 + d lam_j), S1_ij = sum_d w_d d / ((1 + d
-        lam_i)(1 + d lam_j)): |S|^2 products per point.  Unlike
-        absorbance's adjoint row, c A^-1 less a pole term, adj(d) subtracts nothing, so it
-        keeps its digits where c A^-1 dwarfs the adjoint rows at the sampled
-        shifts.
+        lam_i)(1 + d lam_j)): |S|^2 products per point.
 
         A line whose refined residual or cond(W) fails, whose state x(d)
         fails the residual check at the largest weight or either end of
@@ -560,7 +550,7 @@ class _SweepKernel:
         out = np.zeros(len(two_photons))
         grad = None if blocks is None else np.zeros((len(blocks), len(two_photons)))
         try:
-            y, g, lam, w, winv, count, resid, cond, z = self._line_factors(
+            y, g, lam, w, winv, count, resid, cond, r_s = self._line_factors(
                 a, self.delta_idx, v_block, blocks is not None)
         except np.linalg.LinAlgError:
             ok = grad_ok = np.zeros(len(two_photons), dtype=bool)
@@ -574,7 +564,7 @@ class _SweepKernel:
                 r += 1.0
                 return np.divide(1.0, r, out=r)
 
-            zeta = self.readout_q @ w  # c_S W
+            zeta = self.readout[s] @ w
             k = int((count > 0).sum(axis=1).max())
             alpha = zeta * beta * count
             out[:] = (alpha[:, :k] * (weights @ poles(deltas, k))).sum(axis=1).real
@@ -604,7 +594,7 @@ class _SweepKernel:
                 every = poles(deltas)
                 s0 = weights @ every
                 s1 = (every * (weights * deltas)[:, None]).swapaxes(1, 2) @ every
-                r_t = (winv @ z).swapaxes(1, 2)  # R^T
+                r_t = r_s.swapaxes(1, 2)  # R^T
                 core = (r_t @ (zeta[:, :, None] * s1 * beta[:, None, :]) @ pw.swapaxes(1, 2)).real
                 np.subtract((r_t @ (s0 * zeta)[..., None]).real * y[:, None, :], core, out=core)
                 grad[:] = -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T)
@@ -763,10 +753,11 @@ def inhomogeneous_spectrum(
 ) -> SpectrumTrace:
     """Gaussian-weighted average of homogeneous spectra over the shift grid.
 
-    shift_grid overrides the automatic (samples, weights) choice; fits use
-    this to keep the integration grid fixed while decay rates vary, since the
-    automatic dense tier scales with the homogeneous linewidth.  It cannot be
-    combined with check_convergence, which refines the automatic grid.
+    shift_grid overrides the automatic (samples, weights) choice, to keep
+    the integration grid fixed while decay rates vary (as a fit does), since
+    the automatic dense tier scales with the homogeneous linewidth.  It
+    cannot be combined with check_convergence, which refines the automatic
+    grid.
     """
     _check_workers(workers)
     if shift_grid is not None and check_convergence:

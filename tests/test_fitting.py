@@ -118,6 +118,22 @@ class TestFreeParameter:
             FreeParameter("gamma_e", 1.0, 0.0, float("inf"))
 
 
+class TestObservedTrace:
+    @pytest.mark.parametrize("field, value", [
+        ("delta_grid", [0.0, np.nan, 2.0]), ("delta_grid", [0.0, 1.0, np.inf]),
+        ("signal", [1.0, np.nan, 1.0]), ("sigma", [1.0, 0.0, 1.0]),
+        ("sigma", [1.0, -1.0, 1.0]), ("sigma", [1.0, np.nan, 1.0]),
+        ("power", 0.0), ("power", -1e-3), ("power", np.nan), ("power", np.inf),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        # These reached fit() as a ZeroDivisionError, a non-Hermitian
+        # generator, a LAPACK SVD failure or scipy's non-finite residuals.
+        trace = dict(delta_grid=[0.0, 1.0, 2.0], signal=[1.0, 2.0, 1.0], sigma=None, power=1e-3)
+        trace[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ObservedTrace(**trace)
+
+
 class TestFit:
     def problem(self, **kw):
         return FitProblem(
@@ -211,6 +227,13 @@ class TestFit:
                              (FreeParameter(name, 0.0, 0.0, 1e7),))
         with pytest.raises(ValueError, match=f"{name} cannot start at 0"):
             fit([generate(presets.three_level_lambda())], problem)
+
+    @pytest.mark.parametrize("power_ref", [0.0, -1e-3, np.nan, np.inf])
+    def test_invalid_power_ref_rejected(self, power_ref):
+        # power_ref 0 raised ZeroDivisionError in the fit, and a negative
+        # one a non-Hermitian generator.
+        with pytest.raises(ValueError, match="^power_ref must be finite and > 0"):
+            self.problem(rabi_power_scaling=True, power_ref=power_ref)
 
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
