@@ -17,11 +17,12 @@ importing this module loads no scipy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Coupling, DecayChannel, Dephasing, DriveField, LevelSystemSpec
+from .model import Dephasing, LevelSystemSpec
 from .spectra import (
     InhomogeneitySpec,
     _check_workers,
@@ -129,100 +130,71 @@ class IdentifiabilityReport:
 def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSystemSpec:
     """Set one named physical parameter on a model spec.
 
-    Supported names:
-      gamma_e        total decay per excited level, split equally over its
-                     existing decay targets
-      gamma_g        rate of every ground->ground relaxation channel
-      gamma_g_star   rate of every dephasing entry on a ground level
-      gamma_e_deph   dephasing on every excited level (created if absent)
-      omega_c / omega_p   drive amplitudes, scaled so the largest coupling
-                     of that field equals the value (ratios preserved); a
-                     field whose couplings are all zero takes only 0
-      energy:<label>       level energy in Hz
-      decay:<src>-><tgt>   one decay channel rate
-      dephasing:<label>    one dephasing rate (created if absent)
+    Supported names, by the kind of model quantity they set:
+      decay rates      gamma_e: total decay per excited level, split equally
+                       over its existing decay targets; gamma_g: every
+                       ground->ground channel; decay:<src>-><tgt>: one channel
+      dephasing rates  gamma_g_star: every dephasing entry on a ground level;
+                       gamma_e_deph: every excited level; dephasing:<label>:
+                       one level.  The last two create missing entries.
+      field amplitude  omega_c / omega_p: the largest coupling of the field
+                       takes the value, ratios preserved; a field whose
+                       couplings are all zero takes only 0
+      level energy     energy:<label>, in Hz
     """
+    head, colon, label = name.partition(":")
+    kind = head + colon  # a shorthand name, or "decay:", "dephasing:", "energy:"
     grounds = set(spec.ground_labels())
     excited = set(spec.excited_labels())
 
-    if name == "gamma_e":
-        counts: dict[str, int] = {}
-        for ch in spec.decays:
-            if ch.source in excited:
-                counts[ch.source] = counts.get(ch.source, 0) + 1
-        decays = tuple(
-            replace(ch, rate=value / counts[ch.source]) if ch.source in excited else ch
-            for ch in spec.decays
-        )
-        return replace(spec, decays=decays)
+    if kind in ("gamma_e", "gamma_g", "decay:"):
+        if kind == "decay:":
+            src, _, tgt = label.partition("->")
+            chosen = [(ch.source, ch.target) == (src, tgt) for ch in spec.decays]
+        else:
+            sources = excited if kind == "gamma_e" else grounds
+            chosen = [ch.source in sources for ch in spec.decays]
+        channels = Counter(ch.source for ch, c in zip(spec.decays, chosen) if c)
+        if kind == "decay:" and not channels:
+            raise KeyError(f"fit parameter {name!r}: no such decay channel")
+        split = kind == "gamma_e"  # a total per source, shared by its channels
+        return replace(spec, decays=tuple(
+            replace(ch, rate=value / channels[ch.source] if split else value) if c else ch
+            for ch, c in zip(spec.decays, chosen)))
 
-    if name == "gamma_g":
-        decays = tuple(
-            replace(ch, rate=value) if ch.source in grounds else ch for ch in spec.decays
-        )
-        return replace(spec, decays=decays)
-
-    if name == "gamma_g_star":
-        deph = tuple(
-            replace(dp, rate=value) if dp.level in grounds else dp
-            for dp in spec.dephasings
-        )
-        return replace(spec, dephasings=deph)
-
-    if name == "gamma_e_deph":
+    if kind in ("gamma_g_star", "gamma_e_deph", "dephasing:"):
         present = {dp.level for dp in spec.dephasings}
-        deph = [
-            replace(dp, rate=value) if dp.level in excited else dp
-            for dp in spec.dephasings
-        ]
-        deph += [Dephasing(lbl, value) for lbl in sorted(excited - present)]
-        return replace(spec, dephasings=tuple(deph))
+        if kind == "dephasing:":
+            spec.index(label)  # KeyError on unknown label
+            levels = {label}
+        else:  # gamma_g_star sets only the entries that exist
+            levels = grounds & present if kind == "gamma_g_star" else excited
+        deph = tuple(
+            replace(dp, rate=value) if dp.level in levels else dp for dp in spec.dephasings
+        )
+        created = tuple(Dephasing(lbl, value) for lbl in sorted(levels - present))
+        return replace(spec, dephasings=deph + created)
 
-    if name in ("omega_c", "omega_p"):
-        field_id = "control" if name == "omega_c" else "probe"
+    if kind in ("omega_c", "omega_p"):
+        field_id = "control" if kind == "omega_c" else "probe"
         drives = []
         for d in spec.drives:
             if d.field_id == field_id:
                 top = max((c.rabi for c in d.couplings), default=0.0)
                 if top != 0.0:
-                    d = DriveField(
-                        d.field_id,
-                        tuple(replace(c, rabi=value * c.rabi / top) for c in d.couplings),
-                    )
+                    d = replace(d, couplings=tuple(
+                        replace(c, rabi=value * c.rabi / top) for c in d.couplings))
                 elif value != 0.0:
                     # No nonzero coupling has a ratio to keep; zero stays zero.
                     raise ValueError(f"{name}: cannot scale all-zero couplings to {value!r}")
             drives.append(d)
         return replace(spec, drives=tuple(drives))
 
-    if name.startswith("energy:"):
-        lbl = name.split(":", 1)[1]
-        spec.index(lbl)  # KeyError on unknown label
+    if kind == "energy:":
+        spec.index(label)  # KeyError on unknown label
         return spec.with_levels(
-            replace(lv, energy=value) if lv.label == lbl else lv for lv in spec.levels
+            replace(lv, energy=value) if lv.label == label else lv for lv in spec.levels
         )
-
-    if name.startswith("decay:"):
-        src, _, tgt = name.split(":", 1)[1].partition("->")
-        if not any((ch.source, ch.target) == (src, tgt) for ch in spec.decays):
-            raise KeyError(f"fit parameter {name!r}: no such decay channel")
-        decays = tuple(
-            replace(ch, rate=value) if (ch.source, ch.target) == (src, tgt) else ch
-            for ch in spec.decays
-        )
-        return replace(spec, decays=decays)
-
-    if name.startswith("dephasing:"):
-        lbl = name.split(":", 1)[1]
-        spec.index(lbl)  # KeyError on unknown label
-        if any(dp.level == lbl for dp in spec.dephasings):
-            deph = tuple(
-                replace(dp, rate=value) if dp.level == lbl else dp
-                for dp in spec.dephasings
-            )
-        else:
-            deph = spec.dephasings + (Dephasing(lbl, value),)
-        return replace(spec, dephasings=deph)
 
     raise KeyError(f"unknown fit parameter {name!r}")
 
@@ -252,7 +224,6 @@ class _Objective:
         self.lower = np.array([p.lower for p in self.param_of_slot])
         self.upper = np.array([p.upper for p in self.param_of_slot])
         self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._blocks: dict[int, np.ndarray] = {}
         self.scales = np.ones(len(traces))
         self.offsets = np.zeros(len(traces))
         # Freeze the ensemble integration grid at the template's linewidth so
@@ -261,6 +232,8 @@ class _Objective:
         self.shift_grid = shift_samples(
             problem.inhom, homogeneous_linewidth(problem.template)
         )
+        # Every fit and report evaluates every trace, so build them all now.
+        self.blocks = [self._derivatives(t) for t in range(len(traces))]
 
     def spec_for_trace(self, t: int, x: np.ndarray) -> LevelSystemSpec:
         spec = self.problem.template
@@ -272,7 +245,7 @@ class _Objective:
             spec = apply_parameter(spec, "omega_c", top * factor)
         return spec
 
-    def blocks(self, t: int) -> np.ndarray:
+    def _derivatives(self, t: int) -> np.ndarray:
         """Derivative of the sweep kernel's a0 with respect to each of trace
         t's slots, shape (len(slots), m, m).
 
@@ -281,17 +254,14 @@ class _Objective:
         depends only on the rotating frame; so one difference of two kernel
         builds, a bound's width apart, is the exact derivative up to rounding.
         """
-        hit = self._blocks.get(t)
-        if hit is None:
-            base = _SweepKernel(self.spec_for_trace(t, self.x0)).a0
-            rows = []
-            for slot in self.slots[t]:
-                x = self.x0.copy()
-                x[slot] += self.upper[slot] - self.lower[slot]
-                step = x[slot] - self.x0[slot]
-                rows.append((_SweepKernel(self.spec_for_trace(t, x)).a0 - base) / step)
-            hit = self._blocks[t] = np.array(rows).reshape((len(rows),) + base.shape)
-        return hit
+        base = _SweepKernel(self.spec_for_trace(t, self.x0)).a0
+        rows = []
+        for slot in self.slots[t]:
+            x = self.x0.copy()
+            x[slot] += self.upper[slot] - self.lower[slot]
+            step = x[slot] - self.x0[slot]
+            rows.append((_SweepKernel(self.spec_for_trace(t, x)).a0 - base) / step)
+        return np.array(rows).reshape((len(rows),) + base.shape)
 
     def model(self, t: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model spectrum of trace t at x, bit-equal to inhomogeneous_spectrum's
@@ -302,7 +272,7 @@ class _Objective:
         if hit is None:
             hit = self._cache[key] = _sweep(
                 _SweepKernel(self.spec_for_trace(t, x)), self.shift_grid,
-                self.traces[t].delta_grid, self.problem.workers, self.blocks(t))
+                self.traces[t].delta_grid, self.problem.workers, self.blocks[t])
         return hit
 
     def _profile(self, t: int, x: np.ndarray):

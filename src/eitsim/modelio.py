@@ -43,6 +43,13 @@ def _name(d: dict, key: str) -> str:
     return value
 
 
+def _float(value) -> float:
+    """A JSON number as a float; true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return float(value)
+
+
 def spec_from_dict(doc: dict) -> LevelSystemSpec:
     """Build a LevelSystemSpec from its JSON document form."""
     if not isinstance(doc, dict):
@@ -51,7 +58,7 @@ def spec_from_dict(doc: dict) -> LevelSystemSpec:
         scale = unit_scale(doc.get("units"))
         levels = tuple(
             Level(_name(d, "label"), _name(d, "manifold"),
-                  float(d.get("energy", 0.0)) * scale)
+                  _float(d.get("energy", 0.0)) * scale)
             for d in doc["levels"]
         )
         drives = tuple(
@@ -59,18 +66,18 @@ def spec_from_dict(doc: dict) -> LevelSystemSpec:
                 _name(d, "field_id"),
                 tuple(
                     Coupling(_name(c, "ground"), _name(c, "excited"),
-                             float(c["rabi"]) * scale)
+                             _float(c["rabi"]) * scale)
                     for c in d["couplings"]
                 ),
             )
             for d in doc["drives"]
         )
         decays = tuple(
-            DecayChannel(_name(d, "from"), _name(d, "to"), float(d["rate"]) * scale)
+            DecayChannel(_name(d, "from"), _name(d, "to"), _float(d["rate"]) * scale)
             for d in doc.get("decays", [])
         )
         dephasings = tuple(
-            Dephasing(_name(d, "level"), float(d["rate"]) * scale)
+            Dephasing(_name(d, "level"), _float(d["rate"]) * scale)
             for d in doc.get("dephasings", [])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -125,11 +132,11 @@ def spin_from_dict(doc: dict, units: str) -> SpinModel:
     scale = unit_scale(units)
     try:
         return SpinModel(
-            d=float(doc["D"]) * scale,
-            e=float(doc.get("E", 0.0)) * scale,
-            g_factor=float(doc.get("g", 2.0)),
-            b_field=float(doc.get("B_mT", 0.0)) * 1e-3,
-            angle_deg=float(doc.get("phi_deg", 0.0)),
+            d=_float(doc["D"]) * scale,
+            e=_float(doc.get("E", 0.0)) * scale,
+            g_factor=_float(doc.get("g", 2.0)),
+            b_field=_float(doc.get("B_mT", 0.0)) * 1e-3,
+            angle_deg=_float(doc.get("phi_deg", 0.0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed spin block: {exc}") from exc

@@ -939,15 +939,16 @@ def dip_metrics(trace: SpectrumTrace) -> dict:
     dip = a[k]
     contrast = (shoulder - dip) / shoulder if shoulder > 0 else 0.0
     half = dip + 0.5 * (shoulder - dip)
-    # Walk out from the dip to the half level on both sides.
+    # Walk out from the dip to the half level on both sides, then interpolate
+    # the crossing (np.interp wants its abscissae, here absorbances, rising).
     i = k
     while i > 0 and a[i] < half:
         i -= 1
-    xl = np.interp(half, [a[i], a[i + 1]], [x[i], x[i + 1]]) if a[i] >= half else x[0]
+    xl = np.interp(half, [a[i + 1], a[i]], [x[i + 1], x[i]]) if a[i] >= half else x[0]
     j = k
     while j < len(a) - 1 and a[j] < half:
         j += 1
-    xr = np.interp(half, [a[j], a[j - 1]], [x[j], x[j - 1]]) if a[j] >= half else x[-1]
+    xr = np.interp(half, [a[j - 1], a[j]], [x[j - 1], x[j]]) if a[j] >= half else x[-1]
     return {
         "peak": float(max(left, right)),
         "peak_delta": float(x[np.argmax(a)]),

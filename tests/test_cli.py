@@ -632,6 +632,13 @@ class TestConfigReader:
         pytest.param("inhomogeneous", ("inhomogeneity", "n_samples"), 10**6 + 1,
                      "inhomogeneity.n_samples: must be at most 1000000, got 1000001",
                      id="inhomogeneous-inhomogeneity.n_samples-above-ceiling"),
+        # true is not a number, in a model document or a spin block either
+        pytest.param("homogeneous", ("model",),
+                     replaced(LAMBDA_DOC, ("drives", 1, "couplings", 0, "rabi"), True),
+                     "malformed model document: true is not a number",
+                     id="homogeneous-model-rabi-true"),
+        pytest.param("map", ("spin", "ground", "D"), True,
+                     "malformed spin block: true is not a number", id="map-spin.ground.D-true"),
     ])
     def test_malformed_input_names_its_key(self, tmp_path, capsys, kind, path, value, prefix):
         doc = replaced(reader_configs(tmp_path)[kind], path, value)

@@ -39,7 +39,42 @@ def generate(spec, grid=GRID, inhom=INHOM, scale=1.0, offset=0.0, noise=0.0, see
     return ObservedTrace(delta_grid=grid, signal=sig)
 
 
+FIVE = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+GROUNDS, EXCITED = set(FIVE.ground_labels()), set(FIVE.excited_labels())
+# The spec field each name sets on FIVE and the entries of it that it selects.
+SELECTED = {
+    "gamma_e": ("decays", lambda ch: ch.source in EXCITED),
+    "gamma_g": ("decays", lambda ch: ch.source in GROUNDS),
+    "decay:e2->g1": ("decays", lambda ch: (ch.source, ch.target) == ("e2", "g1")),
+    "gamma_g_star": ("dephasings", lambda dp: dp.level in GROUNDS),
+    "gamma_e_deph": ("dephasings", lambda dp: dp.level in EXCITED),
+    "dephasing:g1": ("dephasings", lambda dp: dp.level == "g1"),
+    "dephasing:g2": ("dephasings", lambda dp: dp.level == "g2"),
+    "omega_c": ("drives", lambda d: d.field_id == "control"),
+    "omega_p": ("drives", lambda d: d.field_id == "probe"),
+    "energy:g3": ("levels", lambda lv: lv.label == "g3"),
+    "energy:e3": ("levels", lambda lv: lv.label == "e3"),
+}
+
+
 class TestApplyParameter:
+    @pytest.mark.parametrize("name", SELECTED)
+    def test_only_the_named_quantity_changes(self, name):
+        field, selects = SELECTED[name]
+        out = apply_parameter(FIVE, name, 2.5e6)
+        for f in ("levels", "drives", "decays", "dephasings"):
+            if f != field:
+                assert getattr(out, f) == getattr(FIVE, f), f
+        before, after = getattr(FIVE, field), getattr(out, field)
+        # Existing entries keep their place; only selected ones may change.
+        assert all(a == b for a, b in zip(after, before) if not selects(b))
+        assert after != before
+        # Only gamma_e_deph and dephasing:<label> add entries, and only ones
+        # they select (g1 has no dephasing entry on FIVE; g2 has one).
+        created = after[len(before):]
+        assert all(selects(item) for item in created)
+        assert bool(created) == (name in ("gamma_e_deph", "dephasing:g1"))
+
     def test_gamma_e_split_over_targets(self, lambda_spec):
         out = apply_parameter(lambda_spec, "gamma_e", 4e6)
         rates = {(c.source, c.target): c.rate for c in out.decays}

@@ -1147,6 +1147,14 @@ class TestTraceMetrics:
         assert m["contrast"] == pytest.approx(0.57, abs=0.03)
         assert 0.8 < m["dip_fwhm"] < 1.6
 
+    def test_dip_fwhm_interpolates_the_half_level(self):
+        # A coarse grid (step 0.5) puts no point on the half level; the width
+        # comes from interpolating both crossings, not from the grid points.
+        x = np.linspace(-10, 10, 41)
+        a = 1.0 - 0.8 * np.exp(-0.5 * (x / 1.3) ** 2)
+        exact = 2.0 * 1.3 * np.sqrt(2.0 * np.log(2.0))
+        assert dip_metrics(SpectrumTrace(x, a))["dip_fwhm"] == pytest.approx(exact, rel=5e-3)
+
     def test_no_dip(self):
         x = np.linspace(-10, 10, 101)
         m = dip_metrics(SpectrumTrace(x, np.exp(-0.5 * x**2)))
