@@ -10,7 +10,6 @@ from .model import (
     Level,
     LevelSystemSpec,
     NoConsistentFrame,
-    RotatingFrame,
     ValidationReport,
     assemble_hamiltonian,
     assign_rotating_frame,

@@ -141,6 +141,7 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
                        takes the value, ratios preserved; a field whose
                        couplings are all zero takes only 0
       level energy     energy:<label>, in Hz
+    A name that selects nothing in the model raises KeyError.
     """
     head, colon, label = name.partition(":")
     kind = head + colon  # a shorthand name, or "decay:", "dephasing:", "energy:"
@@ -155,8 +156,8 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
             sources = excited if kind == "gamma_e" else grounds
             chosen = [ch.source in sources for ch in spec.decays]
         channels = Counter(ch.source for ch, c in zip(spec.decays, chosen) if c)
-        if kind == "decay:" and not channels:
-            raise KeyError(f"fit parameter {name!r}: no such decay channel")
+        if not channels:
+            raise KeyError(f"fit parameter {name!r}: selects no decay channel")
         split = kind == "gamma_e"  # a total per source, shared by its channels
         return replace(spec, decays=tuple(
             replace(ch, rate=value / channels[ch.source] if split else value) if c else ch
@@ -169,6 +170,8 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
             levels = {label}
         else:  # gamma_g_star sets only the entries that exist
             levels = grounds & present if kind == "gamma_g_star" else excited
+            if not levels:
+                raise KeyError(f"fit parameter {name!r}: selects no dephasing entry")
         deph = tuple(
             replace(dp, rate=value) if dp.level in levels else dp for dp in spec.dephasings
         )

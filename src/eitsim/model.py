@@ -124,21 +124,6 @@ class LevelSystemSpec:
 
 
 @dataclass(frozen=True)
-class RotatingFrame:
-    """Per-level frame assignment rendering the drive terms static.
-
-    Excited (and undriven) levels rotate in the common excited-manifold frame
-    (frequency class "static"); ground levels rotate with the frequency class
-    of the laser that drives them.
-    """
-
-    classes: dict[str, str]  # label -> "static" | "probe" | "control"
-
-    def frame_class(self, label: str) -> str:
-        return self.classes[label]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[str, ...] = ()
@@ -228,12 +213,13 @@ def validate_system(spec: LevelSystemSpec) -> ValidationReport:
     return ValidationReport(ok=not v, violations=tuple(v))
 
 
-def assign_rotating_frame(spec: LevelSystemSpec) -> RotatingFrame:
-    """Assign a frequency class to each level.
+def assign_rotating_frame(spec: LevelSystemSpec) -> dict[str, str]:
+    """Assign each level the frequency class of its rotating frame.
 
-    Excited and undriven levels get the static (excited-manifold) class;
-    every ground level takes the class of the laser driving it.  A ground
-    level addressed by both lasers over-constrains the frame equations.
+    Returns {label: "static" | "probe" | "control"}.  Excited and undriven
+    levels get the static (excited-manifold) class; every ground level takes
+    the class of the laser driving it.  A ground level addressed by both
+    lasers over-constrains the frame equations.
     """
     manifolds = {lv.label: lv.manifold for lv in spec.levels}
     classes = {lv.label: "static" for lv in spec.levels}
@@ -248,46 +234,37 @@ def assign_rotating_frame(spec: LevelSystemSpec) -> RotatingFrame:
                     f"probe and control"
                 )
             classes[g] = d.field_id
-    return RotatingFrame(classes=classes)
-
-
-def _reference_coupling(spec: LevelSystemSpec, field_id: str) -> Coupling | None:
-    d = spec.drive(field_id)
-    if d is None or not d.couplings:
-        return None
-    return d.couplings[0]
+    return classes
 
 
 def assemble_hamiltonian(
     spec: LevelSystemSpec,
-    frame: RotatingFrame,
+    frame: dict[str, str],
     point: DetuningPoint,
 ) -> np.ndarray:
     """Static rotating-frame Hamiltonian (N x N, Hz) at one detuning point.
 
-    Diagonal entries are rotating-frame detunings: excited levels carry
-    -control_detuning plus their intra-manifold splitting relative to the
-    control's primary excited partner; control-driven (and undriven) ground
-    levels carry their splitting relative to the control's primary ground;
-    probe-driven ground levels additionally carry -two_photon.  Off-diagonal
-    entries are rabi/2 on each driven pair.
+    Diagonal entries are rotating-frame detunings: each level's energy less
+    its frame's reference energy, plus detuning_derivatives' response to the
+    point.  The reference is the control's first excited partner for a level
+    control_detuning moves, the probe's first ground partner for one
+    two_photon moves, and the control's first ground partner otherwise.
+    Off-diagonal entries are rabi/2 on each driven pair.
     """
     n = spec.n_levels
     h = np.zeros((n, n), dtype=complex)
 
-    ctrl = _reference_coupling(spec, CONTROL)
-    prb = _reference_coupling(spec, PROBE)
+    ctrl, prb = spec.control, spec.probe
+    ctrl = ctrl.couplings[0] if ctrl and ctrl.couplings else None
+    prb = prb.couplings[0] if prb and prb.couplings else None
     e_ref = spec.level(ctrl.excited).energy if ctrl else 0.0
     g_ref_c = spec.level(ctrl.ground).energy if ctrl else 0.0
     g_ref_p = spec.level(prb.ground).energy if prb else 0.0
 
-    for i, lv in enumerate(spec.levels):
-        if lv.manifold == EXCITED:
-            h[i, i] = lv.energy - e_ref - point.control_detuning
-        elif frame.frame_class(lv.label) == PROBE:
-            h[i, i] = lv.energy - g_ref_p - point.two_photon
-        else:
-            h[i, i] = lv.energy - g_ref_c
+    d_delta, d_tp = detuning_derivatives(spec, frame)
+    for i, (lv, dd, dt) in enumerate(zip(spec.levels, d_delta.tolist(), d_tp.tolist())):
+        ref = e_ref if dd else g_ref_p if dt else g_ref_c
+        h[i, i] = lv.energy - ref + dd * point.control_detuning + dt * point.two_photon
 
     for d in spec.drives:
         for c in d.couplings:
@@ -297,11 +274,14 @@ def assemble_hamiltonian(
     return h
 
 
-def detuning_derivatives(spec: LevelSystemSpec, frame: RotatingFrame) -> tuple[np.ndarray, np.ndarray]:
+def detuning_derivatives(spec: LevelSystemSpec, frame: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal derivatives dH/d(control_detuning) and dH/d(two_photon).
 
-    The Hamiltonian is affine in the detuning point; the spectra layer uses
-    these to update precomputed Liouvillians cheaply.
+    The one statement of how each level moves with the detunings: excited
+    levels by -control_detuning, probe-frame ground levels by -two_photon,
+    other ground levels by neither.  The Hamiltonian is affine in the
+    detuning point; assemble_hamiltonian writes its diagonal from these, and
+    the spectra layer uses them to update precomputed Liouvillians cheaply.
     """
     n = spec.n_levels
     d_delta = np.zeros(n)
@@ -309,6 +289,6 @@ def detuning_derivatives(spec: LevelSystemSpec, frame: RotatingFrame) -> tuple[n
     for i, lv in enumerate(spec.levels):
         if lv.manifold == EXCITED:
             d_delta[i] = -1.0
-        elif frame.frame_class(lv.label) == PROBE:
+        elif frame[lv.label] == PROBE:
             d_twophoton[i] = -1.0
     return d_delta, d_twophoton

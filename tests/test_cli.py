@@ -17,6 +17,7 @@ from eitsim import (ObservedTrace, check_density_matrix, cli, default_delta_grid
                     find_overlap_angle, fitting, local_minima, presets)
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, _SweepKernel, inhomogeneous_spectrum
+from make_preset_references import BUNDLES, REFERENCES, homogeneous_rows
 
 
 def write_json(path, doc):
@@ -244,6 +245,22 @@ class TestPresets:
                 assert cli.main(["simulate", "--preset", name, "--out",
                                  str(tmp_path / name)]) == 0, capsys.readouterr().err
 
+    def test_homogeneous_spectra_match_their_references(self, tmp_path):
+        # Every homogeneous CSV of the bundles against the point-by-point
+        # steady_state reference of tests/make_preset_references.py, to 1e-12
+        # of its peak.
+        with np.load(REFERENCES) as npz:
+            refs = {stem: npz[stem] for stem in npz.files}
+        stems = [stem for stem, *_ in homogeneous_rows()]
+        assert sorted(stems) == sorted(refs)
+        for name in BUNDLES:
+            assert cli.main(["simulate", "--preset", name, "--out", str(tmp_path)]) == 0
+        for stem in stems:
+            a = np.loadtxt(tmp_path / f"{stem}.csv", delimiter=",", skiprows=1)[:, 1]
+            ref = refs[stem]
+            assert a.shape == ref.shape, stem
+            assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max(), stem
+
 
 class TestCheck:
     def test_600mw_power_requirement(self, tmp_path, capsys):
@@ -470,6 +487,23 @@ class TestFit:
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: parameters[2].{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parameter_that_selects_nothing_is_config_error(self, tmp_path, capsys):
+        # gamma_g on a model without ground relaxation would set nothing, and
+        # the fit would report converged with only a singular-Jacobian warning.
+        doc = json.loads(open(self.make_fixture(tmp_path)).read())
+        spec = presets.three_level_lambda()
+        excited_only = tuple(ch for ch in spec.decays if ch.source == "e2")
+        save_model(tmp_path / doc["model"], dataclasses.replace(spec, decays=excited_only),
+                   units="MHz")
+        doc["parameters"].append({"name": "gamma_g", "initial": 0.01, "lower": 0.001,
+                                  "upper": 1.0})
+        cfg = write_json(tmp_path / "fit5.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert ("config error: parameters[2].name: 'gamma_g' is not a parameter of the model"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_no_parameters_is_config_error(self, tmp_path):

@@ -142,6 +142,13 @@ class TestApplyParameter:
             with pytest.raises(KeyError, match=name.split(":")[1]):
                 apply_parameter(lambda_spec, name, 1.0)
 
+    @pytest.mark.parametrize("name", ["gamma_e", "gamma_g", "gamma_g_star"])
+    def test_empty_selection_is_a_key_error(self, lambda_spec, name):
+        # A shorthand that set nothing would give the fit a flat direction.
+        bare = replace(lambda_spec, decays=(), dephasings=())
+        with pytest.raises(KeyError, match=f"{name!r}: selects no"):
+            apply_parameter(bare, name, 1e6)
+
 
 class TestFreeParameter:
     def test_bounds_validation(self):

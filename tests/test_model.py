@@ -136,9 +136,9 @@ class TestValidation:
 class TestFrameAssignment:
     def test_three_level(self):
         frame = assign_rotating_frame(minimal_lambda())
-        assert frame.frame_class("e2") == "static"
-        assert frame.frame_class("g1") == "probe"
-        assert frame.frame_class("g2") == "control"
+        assert frame["e2"] == "static"
+        assert frame["g1"] == "probe"
+        assert frame["g2"] == "control"
 
     def test_six_coupling_config(self):
         # probe: g1->e2, g1->e3; control: g2->e2, g2->e3, g3->e2, g3->e3
@@ -147,11 +147,11 @@ class TestFrameAssignment:
             "probe", spec.probe.couplings + (Coupling("g1", "e3", 1e4),)
         )
         frame = assign_rotating_frame(replace(spec, drives=(probe, spec.control)))
-        assert frame.frame_class("e2") == "static"
-        assert frame.frame_class("e3") == "static"
-        assert frame.frame_class("g1") == "probe"
-        assert frame.frame_class("g2") == "control"
-        assert frame.frame_class("g3") == "control"
+        assert frame["e2"] == "static"
+        assert frame["e3"] == "static"
+        assert frame["g1"] == "probe"
+        assert frame["g2"] == "control"
+        assert frame["g3"] == "control"
 
     def test_undriven_levels_static(self):
         spec = LevelSystemSpec(
@@ -159,7 +159,7 @@ class TestFrameAssignment:
             drives=(DriveField("probe", ()), DriveField("control", ())),
         )
         frame = assign_rotating_frame(spec)
-        assert all(frame.frame_class(l) == "static" for l in ("g1", "e1"))
+        assert all(frame[l] == "static" for l in ("g1", "e1"))
 
     def test_double_drive_raises(self):
         spec = minimal_lambda()
