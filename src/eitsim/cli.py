@@ -304,7 +304,15 @@ def cmd_fit(args) -> int:
         power_ref=_number(cfg, "power_ref_mw", "", 1.0, low=0.0, above=True) * 1e-3,
         workers=args.workers,
     )
-    result = fit(traces, problem)
+    try:
+        result = fit(traces, problem)
+    except KeyError as exc:  # a listed name that moves nothing in the generator
+        k = next((k for k, p in enumerate(params)
+                  if str(exc.args[0]).startswith(f"fit parameter {p.name!r}:")), None)
+        if k is None:
+            raise
+        raise ConfigError(f"parameters[{k}].name: {params[k].name!r} is not a parameter "
+                          "of the model")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -33,6 +33,9 @@ from .spectra import (
 )
 
 CORRELATION_FLAG = 0.99
+# Share of a parameter's model derivative that must survive the projection
+# off the profiled scale and offset for the report not to flag it.
+_SCALE_SHARE = 1e-3
 # scipy.optimize.least_squares once fit() has imported it.  A module global,
 # not a local, because perfbench's tracer wraps the optimizer where this
 # module binds it.
@@ -122,7 +125,7 @@ class FitResult:
 @dataclass
 class IdentifiabilityReport:
     parameter_names: list[str]
-    sensitivities: dict[str, float]  # norm of the model derivative
+    sensitivities: dict[str, float]  # norm of the profiled model derivative
     correlations: np.ndarray
     degenerate_pairs: list[tuple[str, str]]
 
@@ -227,8 +230,6 @@ class _Objective:
         self.lower = np.array([p.lower for p in self.param_of_slot])
         self.upper = np.array([p.upper for p in self.param_of_slot])
         self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self.scales = np.ones(len(traces))
-        self.offsets = np.zeros(len(traces))
         # Freeze the ensemble integration grid at the template's linewidth so
         # the objective stays smooth while decay rates vary (the automatic
         # dense tier would otherwise re-grid at every gamma_e step).
@@ -237,6 +238,15 @@ class _Objective:
         )
         # Every fit and report evaluates every trace, so build them all now.
         self.blocks = [self._derivatives(t) for t in range(len(traces))]
+        # A slot whose blocks are all zero moves nothing in the generator (the
+        # energy of a level that is its own frame reference, say), so refuse
+        # it as apply_parameter refuses a name that selects nothing.
+        moved = np.zeros(len(self.x0), bool)
+        for t, block in enumerate(self.blocks):
+            moved[self.slots[t]] |= block.any(axis=(1, 2))
+        for p, moves in zip(self.param_of_slot, moved):
+            if not moves:
+                raise KeyError(f"fit parameter {p.name!r}: moves nothing in the model")
 
     def spec_for_trace(self, t: int, x: np.ndarray) -> LevelSystemSpec:
         spec = self.problem.template
@@ -279,23 +289,18 @@ class _Objective:
         return hit
 
     def _profile(self, t: int, x: np.ndarray):
-        """Trace t's model and gradient, point weights, design [w m, w] and
-        the profiled coefficients (scale, offset)."""
+        """Trace t's model and gradient, point weights, design [w m, w], the
+        profiled coefficients (scale, offset) and the weighted residual."""
         trace = self.traces[t]
         m, dm = self.model(t, x)
         w = 1.0 / trace.sigma if trace.sigma is not None else np.ones_like(m)
         # Profile the linear nuisances: minimize ||w*(signal - a*m - b)||.
         design = np.column_stack([m * w, w])
         coef, *_ = np.linalg.lstsq(design, trace.signal * w, rcond=None)
-        return m, dm, w, design, coef
+        return m, dm, w, design, coef, w * (trace.signal - coef[0] * m - coef[1])
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        parts = []
-        for t, trace in enumerate(self.traces):
-            m, _, w, _, coef = self._profile(t, x)
-            self.scales[t], self.offsets[t] = coef
-            parts.append(w * (trace.signal - coef[0] * m - coef[1]))
-        return np.concatenate(parts)
+        return np.concatenate([self._profile(t, x)[-1] for t in range(len(self.traces))])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Exact derivative of residuals(x) with the nuisances profiled out.
@@ -308,7 +313,7 @@ class _Objective:
         jac = np.zeros((sum(len(tr.signal) for tr in self.traces), len(x)))
         row = 0
         for t, trace in enumerate(self.traces):
-            m, dm, w, design, coef = self._profile(t, x)
+            m, dm, w, design, coef, _ = self._profile(t, x)
             pinv = np.linalg.pinv(design)
             ddm = dm.T * w[:, None]  # first column of each dD, (points, slots)
             shift = coef[0] * ddm
@@ -378,7 +383,6 @@ def fit(traces, problem: FitProblem) -> FitResult:
         gtol=1e-12,
         max_nfev=200 * (len(obj.x0) + 1),
     )
-    obj.residuals(res.x)  # refresh the profiled nuisances at the optimum
     m, n = res.fun.size, obj.x0.size
     s2 = 2.0 * res.cost / (m - n) if m > n and res.cost > 0 else 1.0
 
@@ -391,6 +395,8 @@ def fit(traces, problem: FitProblem) -> FitResult:
     s_inv = np.where(tiny, 0.0, 1.0 / np.maximum(s, 1e-300))
     cov = (vt.T * s_inv**2) @ vt * s2
 
+    # The profiled (scale, offset) of each trace at the returned estimates.
+    coefs = [obj._profile(t, res.x)[4] for t in range(len(traces))]
     # Vector slots are in name order: a shared parameter has a single slot.
     return FitResult(
         parameter_names=list(obj.names),
@@ -398,14 +404,12 @@ def fit(traces, problem: FitProblem) -> FitResult:
         uncertainties=dict(zip(obj.names, map(float, np.sqrt(np.diag(cov))))),
         covariance=cov,
         residual_norm=float(norm * np.linalg.norm(res.fun)),
-        scales=obj.scales.copy(),
-        offsets=obj.offsets.copy(),
+        scales=np.array([a for a, _ in coefs]),
+        offsets=np.array([b for _, b in coefs]),
         converged=res.status > 0,
         message=res.message,
         warnings=warnings,
-        curves=[
-            obj.scales[t] * obj.model(t, res.x)[0] + obj.offsets[t] for t in range(len(traces))
-        ],
+        curves=[a * obj.model(t, res.x)[0] + b for t, (a, b) in enumerate(coefs)],
         nfev=int(res.nfev),
         njev=int(res.njev),
         degenerate_pairs=_sensitivity(obj)[2],
@@ -413,15 +417,21 @@ def fit(traces, problem: FitProblem) -> FitResult:
 
 
 def _sensitivity(obj: _Objective):
-    """Norms and correlations of the model derivatives at obj.x0, and the
-    parameter pairs whose derivatives are collinear beyond |corr| >
-    CORRELATION_FLAG.  The model at x0 is a cache hit once a fit has
-    evaluated it."""
-    jac = np.zeros((sum(len(tr.delta_grid) for tr in obj.traces), len(obj.x0)))
+    """Norms and correlations at obj.x0 of the derivatives the fit sees,
+    (I - D D^+) w dm per trace with design D = [w m, w]: the fit's Jacobian
+    at unit scale, free of the data.  Flags the pairs collinear beyond
+    |corr| > CORRELATION_FLAG, and (name, "scale") for a parameter keeping
+    less than _SCALE_SHARE of its raw norm.  The model at x0 is a cache hit
+    once a fit has evaluated it."""
+    raw = np.zeros((sum(len(tr.delta_grid) for tr in obj.traces), len(obj.x0)))
+    jac = np.zeros_like(raw)
     row = 0
-    for t, trace in enumerate(obj.traces):
-        jac[row : row + len(trace.delta_grid), obj.slots[t]] = obj.model(t, obj.x0)[1].T
-        row += len(trace.delta_grid)
+    for t in range(len(obj.traces)):
+        m, dm, w, design, *_ = obj._profile(t, obj.x0)
+        ddm = dm.T * w[:, None]
+        raw[row : row + len(m), obj.slots[t]] = ddm
+        jac[row : row + len(m), obj.slots[t]] = ddm - design @ (np.linalg.pinv(design) @ ddm)
+        row += len(m)
 
     norms = np.linalg.norm(jac, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
@@ -431,16 +441,20 @@ def _sensitivity(obj: _Objective):
         for j in range(i + 1, len(obj.names)):
             if norms[i] > 0 and norms[j] > 0 and abs(corr[i, j]) > CORRELATION_FLAG:
                 pairs.append((obj.names[i], obj.names[j]))
-    return norms, corr, pairs
+    shares = zip(obj.names, norms, np.linalg.norm(raw, axis=0))
+    return norms, corr, pairs + [(n, "scale") for n, p, r in shares if p < _SCALE_SHARE * r]
 
 
 def identifiability_report(problem: FitProblem, traces=None) -> IdentifiabilityReport:
     """Sensitivity of the model at the initial point, from the same exact
-    model gradient the fit uses.
+    model gradient the fit uses, with each trace's profiled scale and offset
+    projected out as the fit's Jacobian does.
 
-    Parameter pairs whose model derivatives are collinear beyond |corr| >
-    0.99 cannot be determined independently from the given data and are
-    flagged.  Without observed traces the template's default grid is used.
+    Parameter pairs whose projected derivatives are collinear beyond |corr|
+    > 0.99 cannot be determined independently from the given data and are
+    flagged, and so is (name, "scale") for a parameter that mostly rescales
+    the spectrum.  Only the traces' grids and sigmas enter.  Without
+    observed traces the template's default grid is used.
     """
     from .spectra import default_delta_grid
 

@@ -733,13 +733,8 @@ def shift_samples(
         n_dense = 2 * int(round(dense_half / (inhom.dense_step * linewidth_hint))) + 1
         dense = np.linspace(-dense_half, dense_half, n_dense)
         grid = np.union1d(grid, dense)
-    pdf = np.exp(-0.5 * (grid / sigma) ** 2)
-    # Trapezoidal cell widths for the (possibly non-uniform) grid.
-    dx = np.empty_like(grid)
-    dx[1:-1] = 0.5 * (grid[2:] - grid[:-2])
-    dx[0] = grid[1] - grid[0]
-    dx[-1] = grid[-1] - grid[-2]
-    w = pdf * dx
+    # Gaussian times trapezoidal cell widths, for the (possibly non-uniform) grid.
+    w = np.exp(-0.5 * (grid / sigma) ** 2) * np.gradient(grid)
     return grid, w / w.sum()
 
 

@@ -506,6 +506,36 @@ class TestFit:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_parameter_that_moves_nothing_is_config_error(self, tmp_path, capsys):
+        # In a Lambda the rotating frame subtracts every level energy, so
+        # energy:g2 moves nothing; the fit used to report it converged at its
+        # initial value with only a singular-Jacobian warning.
+        doc = json.loads(open(self.make_fixture(tmp_path)).read())
+        doc["parameters"].append({"name": "energy:g2", "initial": 1000.0, "lower": 990.0,
+                                  "upper": 1010.0})
+        cfg = write_json(tmp_path / "fit6.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert ("config error: parameters[2].name: 'energy:g2' is not a parameter of the model"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_other_key_error_is_engine_error(self, tmp_path, capsys, monkeypatch):
+        def failing(traces, problem):
+            raise KeyError("g9")
+
+        monkeypatch.setattr(cli, "fit", failing)
+        cfg = self.make_fixture(tmp_path)
+        assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "engine error: 'g9'" in capsys.readouterr().err
+
+    def test_no_traces_is_config_error(self, tmp_path, capsys):
+        doc = json.loads(open(self.make_fixture(tmp_path)).read())
+        doc["traces"] = []
+        cfg = write_json(tmp_path / "fit7.json", doc)
+        assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: fit config lists no traces" in capsys.readouterr().err
+
     def test_no_parameters_is_config_error(self, tmp_path):
         cfg_path = self.make_fixture(tmp_path)
         doc = json.loads(open(cfg_path).read())

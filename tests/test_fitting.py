@@ -175,6 +175,18 @@ class TestObservedTrace:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ObservedTrace(**trace)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("delta_grid", [0.0, 2.0, 1.0], "delta_grid must be strictly increasing"),
+        ("delta_grid", [0.0, 1.0, 1.0], "delta_grid must be strictly increasing"),
+        ("signal", [1.0, 2.0], "signal length mismatch"),
+        ("sigma", [1.0, 1.0, 1.0, 1.0], "sigma length mismatch"),
+    ])
+    def test_inconsistent_grid_rejected(self, field, value, message):
+        trace = dict(delta_grid=[0.0, 1.0, 2.0], signal=[1.0, 2.0, 1.0], sigma=None)
+        trace[field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ObservedTrace(**trace)
+
 
 class TestFit:
     def problem(self, **kw):
@@ -336,6 +348,30 @@ def test_zero_control_under_power_scaling():
     assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
 
 
+@pytest.mark.parametrize("template, name", [
+    (presets.three_level_lambda(), "energy:g1"),
+    (presets.three_level_lambda(), "energy:g2"),
+    (presets.three_level_lambda(), "energy:e2"),
+    (FIVE, "energy:g1"),
+], ids=["lambda_g1", "lambda_g2", "lambda_e2", "five_g1"])
+def test_parameter_that_moves_nothing_is_refused(template, name):
+    # The rotating frame subtracts these levels' energies, so the generator
+    # never sees them: refused before any optimizer step, as a name that
+    # selects nothing is.
+    energy = template.level(name.partition(":")[2]).energy
+    problem = FitProblem(template, INHOM, (
+        FreeParameter("gamma_e", 1e7, 1e6, 3e7),
+        FreeParameter(name, energy, energy - 1e6, energy + 1e6),
+    ))
+    traces = [ObservedTrace(GRID[::8], np.zeros(GRID[::8].size))]
+    with mock.patch("eitsim.fitting.least_squares") as optimizer:
+        with pytest.raises(KeyError, match=f"fit parameter '{name}': moves nothing"):
+            fit(traces, problem)
+        with pytest.raises(KeyError, match=f"fit parameter '{name}': moves nothing"):
+            identifiability_report(problem, traces)
+    optimizer.assert_not_called()
+
+
 class TestIdentifiability:
     def test_fit_reports_the_report_pairs(self):
         # fit() takes the pairs from its own evaluation at the initial point
@@ -375,6 +411,22 @@ class TestIdentifiability:
         report = identifiability_report(problem)
         assert report.degenerate_pairs == []
         assert report.sensitivities["gamma_e"] > 0.0
+
+    def test_probe_rabi_degenerate_with_scale(self):
+        # In the weak-probe limit the absorbance is linear in omega_p: its raw
+        # derivative is the largest, but the profiled scale absorbs it.
+        problem = FitProblem(
+            template=presets.three_level_lambda(),
+            inhom=INHOM,
+            parameters=(
+                FreeParameter("omega_p", presets.OMEGA_P, 1e3, 1e5),
+                FreeParameter("gamma_e", 1e7, 1e6, 3e7),
+            ),
+            rabi_power_scaling=True,
+        )
+        traces = [replace(generate(presets.three_level_lambda()), power=1e-3)]
+        report = identifiability_report(problem, traces)
+        assert report.degenerate_pairs == [("omega_p", "scale")]
 
     def test_distinct_parameters_not_flagged(self):
         problem = FitProblem(

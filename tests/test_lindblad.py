@@ -1,5 +1,7 @@
 """Liouvillian construction, steady states, and the time-evolution oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_liouvillian(np.zeros((2, 3)))
 
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="label count"):
+            build_liouvillian(np.zeros((2, 2)), labels=("g", "e", "x"))
+
 
 class TestSteadyState:
     def test_undriven_two_level_decays_to_ground(self):
@@ -230,6 +236,32 @@ class TestSteadyState:
             rho = steady_state(liouvillian_for(lambda_spec, point))
             check_density_matrix(rho)
 
+    @pytest.mark.parametrize("spec", [
+        presets.three_level_lambda(),
+        presets.five_level_mismatch(delta_k=presets.GAMMA_E),
+        presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6),
+    ], ids=["lambda", "fig4", "fig5"])
+    def test_svd_fallback_matches_lu(self, spec):
+        # With the LU solve refused, the SVD null vector is the same state.
+        for point in (DetuningPoint(0.0, 0.0), DetuningPoint(3e7, -2e6),
+                      DetuningPoint(-1e8, 5e6)):
+            liouv = liouvillian_for(spec, point)
+            lu = steady_state(liouv)
+            with mock.patch.object(np.linalg, "solve",
+                                   side_effect=np.linalg.LinAlgError) as solve:
+                svd = steady_state(liouv)
+            assert solve.called
+            assert np.abs(svd - lu).max() <= 1e-11 * np.abs(lu).max()
+
+    @pytest.mark.parametrize("rho, message", [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "not Hermitian"),
+        (np.diag([0.5, 0.6]), "trace"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ], ids=["hermitian", "trace", "positive"])
+    def test_density_matrix_check_failures(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            check_density_matrix(rho.astype(complex))
+
 
 class TestEvolve:
     def test_t_zero_identity(self, lambda_spec):
@@ -266,3 +298,8 @@ class TestEvolve:
         liouv = liouvillian_for(lambda_spec, DetuningPoint(0.0, 0.0))
         with pytest.raises(ValueError):
             evolve(np.eye(3) / 3.0, liouv, -1.0)
+
+    def test_rho0_shape_rejected(self, lambda_spec):
+        liouv = liouvillian_for(lambda_spec, DetuningPoint(0.0, 0.0))
+        with pytest.raises(ValueError, match="rho0 dimension mismatch"):
+            evolve(np.eye(2) / 2.0, liouv, 1e-6)

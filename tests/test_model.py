@@ -117,6 +117,30 @@ class TestValidation:
         report = validate_system(bad)
         assert any("ground level required" in v for v in report.violations)
 
+    @pytest.mark.parametrize("change, violation", [
+        (lambda s: s.with_levels(s.levels[:2] + (Level("e2", "orbital"),)),
+         "level 'e2': unknown manifold 'orbital'"),
+        (lambda s: s.with_levels((Level("g1", "ground", np.nan),) + s.levels[1:]),
+         "level 'g1': non-finite energy"),
+        (lambda s: replace(s.with_levels(s.levels[:2]), decays=(),
+                           drives=(DriveField("probe", ()), DriveField("control", ()))),
+         "at least one excited level required"),
+        (lambda s: replace(s, drives=s.drives + (DriveField("pump", ()),)),
+         "unknown field id 'pump'"),
+        (lambda s: replace(s, drives=(DriveField("probe", (Coupling("g1", "e9", 1e4),)),
+                                      s.drives[1])),
+         "probe coupling references unknown level 'e9'"),
+        (lambda s: replace(s, decays=(DecayChannel("g1", "e2", 1e6),)),
+         "decay (g1 -> e2) must be excited->ground or ground->ground"),
+        (lambda s: replace(s, dephasings=(Dephasing("x9", 1e5),)),
+         "dephasing references unknown level 'x9'"),
+    ], ids=["manifold", "energy", "no_excited", "field_id", "coupling_label",
+            "decay_direction", "dephasing_label"])
+    def test_violation_is_named(self, change, violation):
+        report = validate_system(change(minimal_lambda()))
+        assert not report.ok
+        assert violation in report.violations
+
     def test_overconstrained_frame_reported(self):
         # One ground level addressed by both lasers: the frame equations
         # demand two different rotation frequencies for it at once.

@@ -130,6 +130,13 @@ class TestTraceCsv:
         with pytest.raises(ModelFormatError, match="strictly increasing"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("header, ncol", [("delta_hz", 1), ("delta_hz,signal,sigma,x", 4)])
+    def test_column_count_other_than_two_or_three(self, tmp_path, header, ncol):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n" + ",".join(["1.0"] * ncol) + "\n")
+        with pytest.raises(ModelFormatError, match=f"expected 2 or 3 columns, got {ncol}"):
+            read_trace_csv(path)
+
     @pytest.mark.parametrize("row, message", [
         ("nan,2.0,0.1", "delta_hz must be finite, got nan"),
         ("inf,2.0,0.1", "delta_hz must be finite, got inf"),

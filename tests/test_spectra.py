@@ -1080,6 +1080,23 @@ class TestThreshold:
         with pytest.raises(ValueError):
             eit_threshold(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("omega, omega_ref, power_ref", [
+        (-1.0, 7.4e6, 1e-3), (1e6, 0.0, 1e-3), (1e6, 7.4e6, 0.0),
+    ])
+    def test_invalid_calibration(self, omega, omega_ref, power_ref):
+        with pytest.raises(ValueError, match="invalid calibration"):
+            power_from_rabi(omega, omega_ref, power_ref)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SpectrumTrace([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]), "strictly increasing"),
+        (lambda: SpectrumTrace([0.0, 1.0, 2.0], [1.0, 1.0]), "length mismatch"),
+        (lambda: spectra.MagnetoMap([0.0, 1.0], [0.0, 1e-3], np.zeros((2, 3))),
+         "inconsistent with grids"),
+    ], ids=["grid_order", "trace_length", "map_shape"])
+    def test_result_shapes_checked(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestMagnetoMap:
     GROUND = SpinModel(d=2e7, e=2e6, g_factor=2.0, angle_deg=30.0)
