@@ -1,11 +1,12 @@
-"""Lindblad superoperator construction, steady states, and a time-evolution oracle.
+"""Lindblad superoperator construction, steady states, and the exact propagator.
 
 Column-stacking convention throughout: vec(rho)[i + N*j] = rho[i, j], so
 vec(A rho B) = kron(B.T, A) vec(rho).  Rates are in Hz; the 2*pi conversion
 to angular units happens here and only here.
 
 The steady state is a numpy LU solve (np.linalg), so importing this module
-loads no scipy; only the evolve oracle imports scipy.integrate, when called.
+loads no scipy; only evolve, the time-domain oracle exp(L t), imports
+scipy.linalg, when called.
 """
 
 from __future__ import annotations
@@ -169,43 +170,23 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
 def evolve(rho0: np.ndarray, liouv: Liouvillian, t: float) -> np.ndarray:
     """Propagate rho0 for t seconds under the generator.
 
-    Independent oracle for steady_state.  Mildly stiff problems use
-    adaptive-step embedded Runge-Kutta (DOP853); when the dimensionless
-    stiffness ||L||*t makes explicit stepping hopeless (optical detunings of
-    hundreds of linewidths integrated to many ground-state lifetimes) the
-    exact spectral propagator V exp(diag(lambda) t) V^-1 is used instead.
-    Both routes avoid the bordered linear solve that steady_state relies on.
+    Independent oracle for steady_state: the exact propagator exp(L t),
+    by scaling and squaring (scipy.linalg.expm), applied to vec(rho0), with
+    no solve of the bordered system that steady_state relies on.  One call
+    at any stiffness ||L|| t; its rounding error grows with ||L|| t.
     Hermiticity is enforced by symmetrization at readout.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm
 
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
     n = liouv.n_levels
     if rho0.shape != (n, n):
         raise ValueError("rho0 dimension mismatch")
     if t == 0.0:
         return rho0.copy()
 
-    mat = liouv.matrix
-    v0 = rho0.flatten(order="F")
-
-    if np.abs(mat).max() * t <= 1e4:
-        sol = solve_ivp(
-            lambda _t, y: mat @ y,
-            (0.0, t),
-            v0,
-            method="DOP853",
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        if not sol.success:
-            raise RuntimeError(f"time evolution failed: {sol.message}")
-        vec = sol.y[:, -1]
-    else:
-        lam, v = np.linalg.eig(mat)
-        vec = v @ (np.exp(lam * t) * np.linalg.solve(v, v0))
-
+    vec = expm(liouv.matrix * t) @ rho0.flatten(order="F")
     rho = vec.reshape((n, n), order="F")
     return 0.5 * (rho + rho.conj().T)
 

@@ -18,6 +18,7 @@ from eitsim import (ObservedTrace, check_density_matrix, cli, default_delta_grid
 from eitsim.modelio import config_hash, read_trace_csv, save_model, spec_to_dict
 from eitsim.spectra import InhomogeneitySpec, _SweepKernel, inhomogeneous_spectrum
 from make_preset_references import BUNDLES, REFERENCES, homogeneous_rows
+from test_fitting import duplicated_jacobian_column
 
 
 def write_json(path, doc):
@@ -401,6 +402,17 @@ class TestFit:
                 ],
             },
         )
+
+    def test_singular_direction_is_written(self, tmp_path):
+        cfg = self.make_fixture(tmp_path)
+        out = tmp_path / "out"
+        with duplicated_jacobian_column():
+            assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads((out / "fit.json").read_text())
+        assert doc["warnings"] == [
+            "singular Jacobian direction involving ['gamma_e', 'gamma_g_star']"]
+        assert np.isfinite(doc["covariance_hz2"]).all()
+        assert np.isfinite(list(doc["uncertainties_hz"].values())).all()
 
     def test_round_trip_fixture(self, tmp_path):
         cfg = self.make_fixture(tmp_path)

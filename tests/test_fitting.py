@@ -188,6 +188,19 @@ class TestObservedTrace:
             ObservedTrace(**trace)
 
 
+def duplicated_jacobian_column():
+    """A patch under which fit's optimizer returns a Jacobian whose second
+    column repeats its first: a singular direction of the first two slots."""
+    from scipy.optimize import least_squares
+
+    def optimizer(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        res.jac[:, 1] = res.jac[:, 0]
+        return res
+
+    return mock.patch("eitsim.fitting.least_squares", optimizer)
+
+
 class TestFit:
     def problem(self, **kw):
         return FitProblem(
@@ -265,6 +278,16 @@ class TestFit:
             assert r.uncertainties[name] == pytest.approx(
                 np.sqrt(r.covariance[k, k])
             )
+
+    def test_singular_direction_is_reported(self):
+        # The warning names both parameters of the duplicated direction, and
+        # the pseudo-inverse keeps the covariance finite.
+        trace = generate(presets.three_level_lambda(), noise=0.002, seed=5)
+        with duplicated_jacobian_column():
+            r = fit([trace], self.problem())
+        assert r.warnings == ["singular Jacobian direction involving ['gamma_e', 'gamma_g_star']"]
+        assert np.isfinite(r.covariance).all()
+        assert np.isfinite(list(r.uncertainties.values())).all()
 
     def test_duplicate_parameter_names_rejected(self):
         # Two slots of one name used to fit with a 2x2 covariance, a one-key

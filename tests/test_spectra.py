@@ -274,6 +274,24 @@ def failing_dense_solve(how):
     return mock.patch.object(_SweepKernel, "_dense_line", poisoned)
 
 
+def wrong_dense_state():
+    """A patch under which the first batched solve of B in each call to
+    _dense_line returns every x off by 1e-6: a real wrong state, for the
+    residual check to catch."""
+    dense, solve = _SweepKernel._dense_line, np.linalg.solve
+
+    def poisoned(self, deltas, two_photons, blocks=None):
+        errors = iter([1e-6])
+
+        def off(b, rhs):
+            return solve(b, rhs) + next(errors, 0.0)
+
+        with mock.patch.object(np.linalg, "solve", off):
+            return dense(self, deltas, two_photons, blocks)
+
+    return mock.patch.object(_SweepKernel, "_dense_line", poisoned)
+
+
 class TestSweepKernel:
     def test_matches_single_point_solve_on_random_models(self, monkeypatch):
         # Same tolerances as test_sweep_matches_single_point_solve_five_level.
@@ -344,6 +362,21 @@ class TestSweepKernel:
                     assert np.array_equal(rows[k], point_by_point(lambda_spec, shifts[k], grid))
                 else:
                     assert np.array_equal(rows[k], clean[k])
+
+    def test_wrong_dense_state_is_caught_by_its_residual(self, lambda_spec):
+        # Line 1's pole form fails, and its dense solve returns a state off
+        # by 1e-6: the residual check sends the line to _point_row, bit for
+        # bit, and a gradient is refused.
+        grid = np.linspace(-1e7, 1e7, 21)
+        shifts = np.array([-3e7, 0.0, 5e7])
+        weights = np.array([0.25, 0.5, 0.25])
+        kernel = _SweepKernel(lambda_spec)
+        blocks = parameter_blocks(lambda_spec, ("gamma_e", "omega_c"), (1e7, 3e6))
+        with failing_line_one("residual"), wrong_dense_state():
+            rows = kernel.absorbance(shifts, grid)
+            with pytest.raises(np.linalg.LinAlgError):
+                spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)
+        assert np.array_equal(rows[1], kernel._point_row(shifts[1], grid))
 
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -1191,6 +1224,14 @@ class TestTraceMetrics:
         grid = default_delta_grid(lambda_spec)
         assert len(grid) == 201
         assert grid[0] == -6.0 * homogeneous_linewidth(lambda_spec)
+
+    def test_default_grid_without_a_width(self):
+        # No excited decay and no control coupling: the width falls back to 1 Hz.
+        spec = LevelSystemSpec(
+            levels=(Level("g1", "ground"), Level("e2", "excited")),
+            drives=(DriveField("probe", (Coupling("g1", "e2", 1e4),)), DriveField("control", ())),
+        )
+        assert np.array_equal(default_delta_grid(spec), np.linspace(-6.0, 6.0, 201))
 
     def test_trace_requires_increasing_grid(self):
         with pytest.raises(ValueError):

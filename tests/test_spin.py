@@ -146,6 +146,11 @@ class TestOverlapAngle:
         )
         assert abs(delta_k(ts)) < 1e3
 
+    def test_window_end_that_is_an_exact_root(self):
+        # Identical manifolds give identical transitions: the mismatch is
+        # 0.0 at every angle, so the window's first end is returned as found.
+        assert find_overlap_angle(self.GROUND, self.GROUND, 6e-3, (1.0, 89.0)) == 1.0
+
     def test_window_without_root(self):
         b = 6e-3
         root = find_overlap_angle(self.GROUND, self.EXCITED, b, (1.0, 89.0))
