@@ -19,6 +19,7 @@ from .fitting import (
     FitProblem,
     FreeParameter,
     ObservedTrace,
+    _flat_series,
     _stuck_start,
     apply_parameter,
     fit,
@@ -276,6 +277,9 @@ def cmd_fit(args) -> int:
         traces.append(ObservedTrace(delta, signal, sigma, power))
     if not traces:
         raise ConfigError("fit config lists no traces")
+    why = _flat_series(traces)
+    if why:
+        raise ConfigError(f"traces: {why}")
     params = []
     for k, block in enumerate(_list(cfg, "parameters")):
         where = f"parameters[{k}]"

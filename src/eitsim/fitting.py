@@ -29,6 +29,7 @@ from .spectra import (
     _sweep,
     _SweepKernel,
     homogeneous_linewidth,
+    rabi_from_power,
     shift_samples,
 )
 
@@ -253,9 +254,9 @@ class _Objective:
         for slot in self.slots[t]:
             spec = apply_parameter(spec, self.param_of_slot[slot].name, x[slot])
         if self.problem.rabi_power_scaling and self.traces[t].power is not None:
-            factor = np.sqrt(self.traces[t].power / self.problem.power_ref)
             top = max((c.rabi for c in spec.control.couplings), default=0.0)
-            spec = apply_parameter(spec, "omega_c", top * factor)
+            rabi = rabi_from_power(self.traces[t].power, top, self.problem.power_ref)
+            spec = apply_parameter(spec, "omega_c", rabi)
         return spec
 
     def _derivatives(self, t: int) -> np.ndarray:
@@ -332,6 +333,14 @@ def _stuck_start(p: FreeParameter) -> str | None:
     return None
 
 
+def _flat_series(traces) -> str | None:
+    """Why a series of traces determines nothing, or None."""
+    if all(np.ptp(t.signal) == 0 for t in traces):
+        return ("every signal is constant, and the profiled offset fits a constant "
+                "exactly, so the series determines nothing")
+    return None
+
+
 def fit(traces, problem: FitProblem) -> FitResult:
     """Joint trust-region least-squares fit over one or more traces, with the
     exact Jacobian of the profiled residuals (see the module docstring).
@@ -340,7 +349,8 @@ def fit(traces, problem: FitProblem) -> FitResult:
     Jacobian directions are reported per parameter in the warnings list, and
     identifiability_report's degenerate pairs come from the fit's own model
     evaluation at the initial point.  An omega_c or omega_p that starts at 0
-    raises ValueError: the fit could not leave it.
+    raises ValueError: the fit could not leave it.  So does a series whose
+    every signal is constant.
     """
     global least_squares
     for p in problem.parameters:
@@ -353,6 +363,9 @@ def fit(traces, problem: FitProblem) -> FitResult:
     if not traces:
         raise ValueError("at least one trace required")
     obj = _Objective(traces, problem)
+    why = _flat_series(traces)
+    if why:
+        raise ValueError(why)
     # The absorbance observable is dimensionless but tiny (weak probe), so
     # raw residuals would trip the optimizer's absolute gtol immediately.
     # A uniform residual scaling cancels exactly in the estimates and in the
@@ -369,8 +382,6 @@ def fit(traces, problem: FitProblem) -> FitResult:
             )
         )
     )
-    if not norm > 0:
-        norm = 1.0
     res = least_squares(
         lambda x: obj.residuals(x) / norm,
         obj.x0,

@@ -103,7 +103,9 @@ def build_liouvillian(
 
 
 def liouvillian_for(spec: LevelSystemSpec, point: DetuningPoint) -> Liouvillian:
-    """Convenience: model spec + detuning point -> Liouvillian."""
+    """The generator of spec at point: the one composition of a Liouvillian
+    from a model spec and a detuning point, which steady_state's callers and
+    the sweep kernel both use."""
     frame = assign_rotating_frame(spec)
     h = assemble_hamiltonian(spec, frame, point)
     return build_liouvillian(h, spec.decays, spec.dephasings, spec.labels)

@@ -36,18 +36,10 @@ from .model import (
     CONTROL,
     DetuningPoint,
     LevelSystemSpec,
-    assemble_hamiltonian,
     assign_rotating_frame,
     detuning_derivatives,
 )
-from .lindblad import (
-    TWO_PI,
-    Liouvillian,
-    _bordered_system,
-    dissipator_superoperator,
-    hamiltonian_superoperator,
-    steady_state,
-)
+from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
 
 _POINTS = 2560  # (shift, two-photon) points per tile of rows, m / |Q| times
                 # as many reduced (see _sweep); fixed so tiling does not
@@ -267,12 +259,8 @@ class _SweepKernel:
     def __init__(self, spec: LevelSystemSpec):
         self.spec = spec
         n = spec.n_levels
-        # The fallback rebuilds only the Hamiltonian part per point.
-        self.frame = assign_rotating_frame(spec)
-        self.dissipator = dissipator_superoperator(n, spec.labels, spec.decays,
-                                                   spec.dephasings)
-        a, _ = _bordered_system(self._liouvillian(DetuningPoint(0.0, 0.0)).matrix, n)
-        d_delta, d_tp = detuning_derivatives(spec, self.frame)
+        a, _ = _bordered_system(liouvillian_for(spec, DetuningPoint(0.0, 0.0)).matrix, n)
+        d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
         t, tinv, self.tp_idx, self.delta_idx = _real_basis(d_delta, d_tp)
 
         a0 = t @ a @ tinv
@@ -306,18 +294,12 @@ class _SweepKernel:
             raise ValueError("the probe read-out must lie in coherences both detunings move: "
                              "the model needs an excited level and ground-excited probe couplings")
 
-    def _liouvillian(self, point: DetuningPoint) -> Liouvillian:
-        """build_liouvillian's generator at point, from the kernel's frame and
-        dissipator."""
-        h = assemble_hamiltonian(self.spec, self.frame, point)
-        return Liouvillian(hamiltonian_superoperator(h) + self.dissipator)
-
     def _point_row(self, deltas, two_photons) -> np.ndarray:
         """One line by single-point solves, over whichever argument is an
         array; steady_state's SVD fallback either finds the unique steady
         state or raises DegenerateSteadyState."""
         return np.array([
-            probe_absorption(steady_state(self._liouvillian(DetuningPoint(d, t))), self.spec)
+            probe_absorption(steady_state(liouvillian_for(self.spec, DetuningPoint(d, t))), self.spec)
             for d, t in np.broadcast(deltas, two_photons)
         ])
 

@@ -3,9 +3,11 @@
 homogeneous spectrum of the preset bundles.
 
 Each spectrum is solved point by point: lindblad.steady_state on the generator
-from liouvillian_for, read out with probe_absorption.  That path shares no
-code with the sweep kernel the bundles run on.  Arrays are keyed by the
-bundle's file stem.  Run from the repository root:
+from liouvillian_for, read out with probe_absorption.  That path shares the
+generator with the sweep kernel the bundles run on, which builds its own from
+liouvillian_for too, but not the solver: the kernel solves whole lines in pole
+form and reaches steady_state only as its last resort, which no bundle takes.
+Arrays are keyed by the bundle's file stem.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/make_preset_references.py
 

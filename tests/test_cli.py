@@ -548,6 +548,19 @@ class TestFit:
         assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "config error: fit config lists no traces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["0.0", "2.5"])
+    def test_flat_traces_are_config_error(self, tmp_path, capsys, level):
+        # Such a fit used to exit 0, converged at its start values.
+        cfg = self.make_fixture(tmp_path)
+        rows = (tmp_path / "obs.csv").read_text().splitlines()
+        flat = [rows[0]] + [row.split(",")[0] + "," + level for row in rows[1:]]
+        (tmp_path / "obs.csv").write_text("\n".join(flat) + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert ("config error: traces: every signal is constant"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_no_parameters_is_config_error(self, tmp_path):
         cfg_path = self.make_fixture(tmp_path)
         doc = json.loads(open(cfg_path).read())

@@ -316,6 +316,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit([], self.problem())
 
+    @pytest.mark.parametrize("level", [0.0, 2.5])
+    def test_flat_series_rejected(self, level):
+        # The profiled offset fits a constant exactly, so the fit used to stop
+        # at its start values after one evaluation, converged, with zero
+        # uncertainties.  One varying trace is enough.
+        trace = generate(presets.three_level_lambda(), noise=0.002, seed=6)
+        flat = ObservedTrace(trace.delta_grid, np.full(trace.delta_grid.size, level))
+        with mock.patch("eitsim.fitting.least_squares") as optimizer:
+            with pytest.raises(ValueError, match="every signal is constant"):
+                fit([flat, flat], self.problem())
+        optimizer.assert_not_called()
+        paired = fit([trace, flat], self.problem())
+        assert paired.converged
+        assert paired.scales[1] == pytest.approx(0.0, abs=1e-9)
+        assert paired.offsets[1] == pytest.approx(level, abs=1e-12)
+
     def test_per_trace_monotone_dephasing(self):
         # temperature series: only the excited dephasing varies per trace
         truths = [0.0, 4e6, 12e6]

@@ -664,24 +664,6 @@ class TestSweepKernel:
         assert np.isclose(x[kernel.probe_idx] @ kernel.probe_w,
                           probe_absorption(rho, spec), rtol=1e-14, atol=0.0)
 
-    def test_fallback_builds_the_dissipator_once(self, lambda_spec, monkeypatch):
-        # Every line of both routes falls through to _point_row.
-        grid = np.linspace(-1e7, 1e7, 5)
-        shifts = np.array([-3e7, 0.0, 5e7])
-        weights = np.array([0.25, 0.5, 0.25])
-        built = []
-        dissipator = spectra.dissipator_superoperator
-        monkeypatch.setattr(spectra, "dissipator_superoperator",
-                            lambda *args: built.append(args) or dissipator(*args))
-        with failing_line_one("singular"), failing_dense_solve("raise"):
-            kernel = _SweepKernel(lambda_spec)
-            rows = kernel.absorbance(shifts, grid)
-            average = kernel._average(shifts, grid, weights)
-        assert len(built) == 1  # 30 fallback points, one dissipator
-        single = np.array([point_by_point(lambda_spec, d, grid) for d in shifts])
-        assert np.array_equal(rows, single)
-        assert np.array_equal(average, [weights @ col for col in single.T.copy()])
-
     def test_worker_counts_bit_identical(self):
         spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
         grid = np.linspace(-2e7, 2.5e7, 46)
@@ -873,6 +855,15 @@ class TestReduction:
         assert np.array_equal(value, clean[0])
         assert np.array_equal(grad[:, 1], kernel._dense_line(shifts, grid[1], blocks)[1] @ weights)
         assert np.array_equal(grad[:, [0, 2]], clean[1][:, [0, 2]])
+
+    def test_non_hermitian_generator_is_rejected(self, lambda_spec):
+        # A complex Rabi frequency puts H off its Hermitian form, so the
+        # generator maps Hermitian states to non-Hermitian ones and has no
+        # real form in the (rho_ii, Re rho_ij, Im rho_ij) basis.
+        control = DriveField("control", (Coupling("g2", "e2", 3e6 + 1e6j),))
+        spec = replace(lambda_spec, drives=(lambda_spec.probe, control))
+        with pytest.raises(ValueError, match="generator does not preserve Hermiticity"):
+            homogeneous_spectrum(spec, 0.0, np.linspace(-1e6, 1e6, 5))
 
     @pytest.mark.parametrize("excited", [False, True], ids=["no_excited", "ground_probe"])
     def test_read_out_outside_p_and_q_is_rejected(self, excited):
