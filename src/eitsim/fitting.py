@@ -394,8 +394,9 @@ def fit(traces, problem: FitProblem) -> FitResult:
         gtol=1e-12,
         max_nfev=200 * (len(obj.x0) + 1),
     )
-    m, n = res.fun.size, obj.x0.size
-    s2 = 2.0 * res.cost / (m - n) if m > n and res.cost > 0 else 1.0
+    # Each trace's profiled scale and offset use up two degrees of freedom too.
+    dof = res.fun.size - obj.x0.size - 2 * len(traces)
+    s2 = 2.0 * res.cost / dof if dof > 0 and res.cost > 0 else 1.0
 
     warnings: list[str] = []
     u, s, vt = np.linalg.svd(res.jac, full_matrices=False)

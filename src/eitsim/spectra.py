@@ -18,11 +18,13 @@ formed, a few complex divides per shift instead of a solve (see
 _SweepKernel._average).  A line that either route cannot take is redone by
 one batched dense solve, and point by point by steady_state where that fails
 too (see _SweepKernel._redo_line).  The sweep takes the grid in tiles of a
-fixed number of points and reduces each tile to its weighted partial at once,
-added in tile order (see _sweep), so memory does not grow with the shift
-count and results are bit-identical for any worker count.  For a fit the same
-pass also gives the gradient of the average with respect to parameters that
-enter the generator affinely, from the same factors.
+fixed number of points (a reduced tile factors _GROUPS times as many lines
+at once, and sums over the shifts a group of lines at a time) and reduces
+each tile to its weighted partial at once, added in tile order (see _sweep),
+so memory does not grow with the shift count and results are bit-identical
+for any worker count.  For a fit the same pass also gives the gradient of
+the average with respect to parameters that enter the generator affinely,
+from the same factors.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ from .model import (
 )
 from .lindblad import TWO_PI, _bordered_system, liouvillian_for, steady_state
 
-_POINTS = 2560  # (shift, two-photon) points per tile of rows, m / |Q| times
-                # as many reduced (see _sweep); fixed so tiling does not
-                # depend on the worker count
+_POINTS = 2560  # (shift, two-photon) points per tile of rows, and m / |Q|
+                # times as many per shift-sum group of a reduced tile (see
+                # _sweep); fixed so tiling does not depend on the worker count
+_GROUPS = 4  # shift-sum groups per reduced tile, factored by one _line_factors
+             # call, whose overhead dominated a tile of one group (fig5: 5 lines)
 _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # the Newton step on the eigenpairs does not restore; such a
                    # line is redone by a dense solve (see _redo_line)
@@ -446,6 +450,12 @@ class _SweepKernel:
         inhomogeneous_spectrum take the same route and agree bit for bit."""
         return n_shifts >= _MIN_REDUCED_SHIFTS
 
+    def _reduced_points(self) -> int:
+        """N, the points of one shift-sum group of _average: m / |Q| times
+        _POINTS, as a reduced point holds about |Q| complex numbers where a
+        row point holds a few times m floats."""
+        return _POINTS * len(self.a0) // len(self.delta_idx)
+
     def _line_factors(self, a: np.ndarray, idx: range, v_block: np.ndarray, adjoint: bool):
         """The pole form of each line A = a[k] along the detuning whose block
         v_block acts on the range idx, S (see the class docstring).
@@ -507,7 +517,10 @@ class _SweepKernel:
 
             sum_d w_d c x(d) = Re sum_j count_j zeta_j beta_j sum_d w_d / (1 + d lam_j),
 
-        about |S| / 2 complex divides per point.  With the adjoint row
+        about |S| / 2 complex divides per point.  The shift sums go in
+        groups of max(1, N // len(deltas)) lines, N = _reduced_points(), so
+        that their arrays hold at most N points (or one line) whatever the
+        number of lines.  With the adjoint row
         adj(d) = zeta D(d) R, x(d) = y - d P D(d) beta and P = G V W,
         absorbance's G(t) = sum_d w_d adj^T x becomes
 
@@ -540,21 +553,25 @@ class _SweepKernel:
             norm = np.linalg.norm(a, np.inf, axis=(1, 2))
             beta = (winv @ y[:, s, None])[..., 0]
 
-            def poles(d, k=None):
-                """1 / (1 + d lam) over the first k poles, (nt, len(d), k)."""
-                r = d[:, None] * lam[:, None, :k]
+            def poles(d, lam):
+                """1 / (1 + d lam) for poles lam, (len(lam), len(d), lam.shape[1])."""
+                r = d[:, None] * lam[:, None]
                 r += 1.0
                 return np.divide(1.0, r, out=r)
 
             zeta = self.readout[s] @ w
-            k = int((count > 0).sum(axis=1).max())
             alpha = zeta * beta * count
-            out[:] = (alpha[:, :k] * (weights @ poles(deltas, k))).sum(axis=1).real
+            step = max(1, self._reduced_points() // len(deltas))
+            groups = [slice(j, j + step) for j in range(0, len(two_photons), step)]
+            for lines in groups:
+                k = int((count[lines] > 0).sum(axis=1).max())
+                out[lines] = (alpha[lines, :k]
+                              * (weights @ poles(deltas, lam[lines, :k]))).sum(axis=1).real
             # x(d) at three shifts; NaN-safe as in absorbance.
             d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
             vw = v_block @ w
             pw = g @ vw  # P = G V W
-            r3 = poles(d3)
+            r3 = poles(d3, lam)
             x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * r3)
                                @ pw.swapaxes(1, 2)).real
             res = x3 @ a.swapaxes(1, 2)
@@ -573,13 +590,17 @@ class _SweepKernel:
             ok &= np.isfinite(out)
             grad_ok = ok
             if blocks is not None:
-                every = poles(deltas)
-                s0 = weights @ every
-                s1 = (every * (weights * deltas)[:, None]).swapaxes(1, 2) @ every
-                r_t = r_s.swapaxes(1, 2)  # R^T
-                core = (r_t @ (zeta[:, :, None] * s1 * beta[:, None, :]) @ pw.swapaxes(1, 2)).real
-                np.subtract((r_t @ (s0 * zeta)[..., None]).real * y[:, None, :], core, out=core)
-                grad[:] = -(blocks.reshape(len(blocks), -1) @ core.reshape(len(core), -1).T)
+                for lines in groups:
+                    every = poles(deltas, lam[lines])
+                    s0 = weights @ every
+                    s1 = (every * (weights * deltas)[:, None]).swapaxes(1, 2) @ every
+                    r_t = r_s[lines].swapaxes(1, 2)  # R^T
+                    core = (r_t @ (zeta[lines, :, None] * s1 * beta[lines, None, :])
+                            @ pw[lines].swapaxes(1, 2)).real
+                    np.subtract((r_t @ (s0 * zeta[lines])[..., None]).real * y[lines, None, :],
+                                core, out=core)
+                    grad[:, lines] = -(blocks.reshape(len(blocks), -1)
+                                       @ core.reshape(len(core), -1).T)
                 grad_ok = ok & np.isfinite(grad).all(axis=0)
         for k in np.flatnonzero(~grad_ok):
             values, terms = self._redo_line(deltas, two_photons[k], blocks)
@@ -607,13 +628,17 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     by _SweepKernel._average; otherwise it is absorbance's rows per shift,
     weighted.  A tile takes up to N values of the closed-form axis (shifts
     when reduced, else two-photon points) and max(1, N // its length) values
-    of the other, so it holds at most N points, N = _POINTS for rows and
-    _POINTS m / |Q| for a reduction, and only its weighted partial leaves
-    it: no array holds a row per shift.  Tile boundaries are independent of
-    the worker count and the partials are added in tile order, so the output
-    is bit-identical for any number of workers.  A shift_grid other than two
-    1-D arrays of one non-zero length, or a non-finite shift, weight or
-    two-photon point, raises ValueError: no route can solve it.
+    of the other, N = _POINTS for rows and _POINTS m / |Q| for a reduction,
+    so a tile of rows holds at most N points.  A reduced tile takes _GROUPS
+    times as many two-photon points, which one _line_factors call factors,
+    and sums over its shifts in groups of lines that hold at most N points
+    (see _SweepKernel._average), so its memory stays near a tile of rows'.
+    Only a tile's weighted partial leaves it: no array holds a row per
+    shift.  Tile boundaries are independent of the worker count and the
+    partials are added in tile order, so the output is bit-identical for
+    any number of workers.  A shift_grid other than two 1-D arrays of one
+    non-zero length, or a non-finite shift, weight or two-photon point,
+    raises ValueError: no route can solve it.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
     if shifts.ndim != 1 or shifts.shape != weights.shape or not len(shifts):
@@ -624,13 +649,10 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
         if not np.isfinite(grid).all():
             raise ValueError(f"{name} must be finite")
     reduce = kernel.reduces(len(shifts))
-    # A reduced point holds about |Q| complex numbers where a row point holds
-    # a few times m floats, so a reduced tile of m / |Q| times the points
-    # takes about the same memory.
-    points = _POINTS * len(kernel.a0) // len(kernel.delta_idx) if reduce else _POINTS
+    points = kernel._reduced_points() if reduce else _POINTS
     closed = len(shifts) if reduce else len(tp_grid)
     factored = max(1, points // max(closed, 1))
-    sd, st = (points, factored) if reduce else (factored, points)
+    sd, st = (points, _GROUPS * factored) if reduce else (factored, points)
 
     def run(tile):
         a, b = tile

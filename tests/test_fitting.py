@@ -252,6 +252,27 @@ class TestFit:
             pull = abs(result.estimates[name] - truth) / result.uncertainties[name]
             assert pull < 4.0
 
+    def test_covariance_counts_the_profiled_nuisances(self):
+        # The covariance is (J^T J)^-1 |r|^2 / (m - n - 2T): m points, n
+        # parameters and T traces, each with a profiled scale and offset.
+        # With m - n = 79 here, the 2 nuisances widen each uncertainty by
+        # sqrt(79 / 77), 1.3 %.  With m <= n + 2T the residual says nothing
+        # of the noise, and nothing is divided by that count.
+        trace = generate(presets.three_level_lambda(), noise=0.002, seed=6)
+        problem = self.problem()
+        result = fit([trace], problem)
+        x = np.array([result.estimates[name] for name in result.parameter_names])
+        jac = _Objective([trace], problem).jacobian(x)
+        r = trace.signal - result.curves[0]
+        m, n = len(r), len(x)
+        assert (m, n) == (81, 2)
+        inverse = np.linalg.inv(jac.T @ jac)
+        expected = inverse * (r @ r) / (m - n - 2)
+        assert np.abs(result.covariance - expected).max() <= 1e-6 * np.abs(expected).max()
+        for points in ([10, 30, 50, 70], [10, 40, 70]):  # m - n - 2T = 0, -1
+            few = ObservedTrace(trace.delta_grid[points], trace.signal[points])
+            assert np.isfinite(list(fit([few], problem).uncertainties.values())).all()
+
     def test_scale_offset_invariance(self):
         trace = generate(presets.three_level_lambda(), noise=0.002, seed=3)
         r1 = fit([trace], self.problem())
@@ -630,8 +651,9 @@ class TestGradient:
     def test_worker_count_bit_identical(self):
         # Tiles of 12 points: 31 shifts x 9 points span 31 tiles of one shift
         # as rows per shift (the reduction ruled out), so the gradient is a
-        # sum over shift tiles; reduced, 9 tiles of 27 shifts and 9 of 4
-        # (12 m / |Q| = 27 points to a tile).
+        # sum over shift tiles; reduced, 3 tiles of 27 shifts and 3 of 4,
+        # by 4, 4 and 1 points (12 m / |Q| = 27 shifts to a tile, _GROUPS = 4
+        # lines).
         inhom = InhomogeneitySpec(fwhm=2e9, n_samples=31, auto_dense=False)
         grid = np.linspace(-2e7, 2e7, 9)
         grads = {}

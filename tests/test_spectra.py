@@ -28,6 +28,7 @@ from eitsim.spectra import (
     InhomogeneitySpec,
     NonConvergedSampling,
     SpectrumTrace,
+    _probe_readout,
     _real_basis,
     _SweepKernel,
     default_delta_grid,
@@ -177,6 +178,41 @@ class TestHomogeneous:
             single = point_by_point(spec, shift, grid)
             assert np.abs(swept - single).max() <= 1e-12 * peak
             assert np.abs(swept - single).max() <= 1e-10 * np.abs(single).max()
+
+    def test_weak_probe_lambda_matches_the_analytic_coherence(self):
+        # The weak-probe Lambda coherence with all population in g1
+        # (Fleischhauer, Imamoglu & Marangos, Rev. Mod. Phys. 77, 633
+        # (2005)), from the model's conventions alone and none of the code
+        # that builds the kernel's generator.  The Hamiltonian (Hz) has
+        # diagonal h_i = d_delta_i d + d_tp_i t (detuning_derivatives; every
+        # level of the preset sits at its frame reference) and rabi / 2 on
+        # each driven pair.  With gamma_g = 0 the control pumps g2 empty, so
+        # to first order in Omega_p, with rho_g1g1 = 1,
+        #   rho_eg = (Omega_p / 2) / (D_p + i gamma_e / 2
+        #                             - (Omega_c / 2)^2 / (D_2 + i gamma_g*)),
+        # D_p = h_g1 - h_e (here d - t) and D_2 = h_g1 - h_g2 (here -t).  The
+        # absorbance reads rho_eg and its mirror by _probe_readout.  The terms
+        # left out are second order in Omega_p: 7.6e-9 of peak here, 100
+        # times that at 1 kHz.  Either detuning's sign flipped is off by 0.7.
+        spec = presets.three_level_lambda(omega_p=100.0, gamma_g=0.0)
+        n = spec.n_levels
+        g1, g2, e = (spec.index(label) for label in ("g1", "g2", "e2"))
+        d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
+        gamma_e = sum(ch.rate for ch in spec.decays if ch.source == "e2")
+        gamma_star = sum(dp.rate for dp in spec.dephasings if dp.level == "g2")
+        omega_p, omega_c = spec.probe.couplings[0].rabi, spec.control.couplings[0].rabi
+        assert not any(ch.rate for ch in spec.decays if ch.source != "e2")
+        idx, idx_t, weights = _probe_readout(spec)
+        grid = np.linspace(-1e7, 1e7, 81)
+        for shift in (-2e7, -3e6, 0.0, 3e6, 2e7):
+            h = d_delta[:, None] * shift + d_tp[:, None] * grid
+            rho_eg = (omega_p / 2) / (h[g1] - h[e] + 0.5j * gamma_e
+                                      - (omega_c / 2) ** 2 / (h[g1] - h[g2] + 1j * gamma_star))
+            vec = np.zeros((n * n, len(grid)), dtype=complex)
+            vec[e + n * g1], vec[g1 + n * e] = rho_eg, rho_eg.conj()
+            expected = weights @ (vec[idx].imag - vec[idx_t].imag)
+            swept = homogeneous_spectrum(spec, shift, grid).absorbance
+            assert np.abs(swept - expected).max() <= 1e-8 * np.abs(expected).max()
 
     def test_worker_count_bit_identical(self, lambda_spec):
         for grid in (np.linspace(-2e7, 2e7, 101), np.array([])):
@@ -491,9 +527,9 @@ class TestSweepKernel:
     def test_two_photon_chunks_match_shift_chunks(self, lambda_spec):
         # 101 samples plus the dense tier: 301 shifts x 41 points, which
         # _sweep reduces per two-photon point in tiles of all 301 shifts (the
-        # closed-form axis) by max(1, _POINTS m / |Q| // 301) two-photon
-        # points: at 2560, m = 9 and |Q| = 4, two tiles of 19 points and one
-        # of 3.
+        # closed-form axis) by _GROUPS max(1, _POINTS m / |Q| // 301)
+        # two-photon points: at 4, 2560, m = 9 and |Q| = 4, 76, so one tile
+        # of all 41 points.
         grid = np.linspace(-1e7, 1e7, 41)
         shifts, weights = shift_samples(
             InhomogeneitySpec(fwhm=presets.SIM_FWHM, n_samples=101),
@@ -512,10 +548,60 @@ class TestSweepKernel:
         with mock.patch.object(_SweepKernel, "_average", recorded):
             tr = inhomogeneous_spectrum(lambda_spec, InhomogeneitySpec(
                 fwhm=presets.SIM_FWHM, n_samples=101), grid)
-        step = max(1, spectra._POINTS * 9 // 4 // 301)
+        step = spectra._GROUPS * max(1, spectra._POINTS * 9 // 4 // 301)
         full, rest = divmod(41, step)
         assert chunks == [(301, step)] * full + [(301, rest)] * (rest > 0)
         assert np.abs(tr.absorbance - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_line_groups_change_no_value(self):
+        # fig5 at 1 mW: 1001 shifts x 226 points, reduced in tiles of
+        # _GROUPS groups of N // 1001 = 5 lines, N = 2560 m / |Q|.  Each
+        # tile factors its lines at once but sums over the shifts a group at
+        # a time, so the spectrum and its gradient are those of one _average
+        # call per group, bit for bit.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        kernel = _SweepKernel(spec)
+        grid = np.linspace(-2e7, 2.5e7, 226)
+        shifts, weights = shift_samples(InhomogeneitySpec(fwhm=presets.INHOM_FWHM),
+                                        homogeneous_linewidth(spec))
+        blocks = parameter_blocks(spec, ("gamma_e", "omega_c", "gamma_g_star"), (5e6, 8e6, 3e5))
+        step = max(1, kernel._reduced_points() // len(shifts))
+        assert (len(shifts), step) == (1001, 5) and kernel.reduces(len(shifts))
+        groups = [kernel._average(shifts, grid[j : j + step], weights, blocks)
+                  for j in range(0, len(grid), step)]
+        tiles = []
+        average = _SweepKernel._average
+
+        def recorded(self, d, t, w, blocks=None):
+            tiles.append(len(t))
+            return average(self, d, t, w, blocks)
+
+        with mock.patch.object(_SweepKernel, "_average", recorded):
+            value, grad = spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)
+        assert tiles == [spectra._GROUPS * step] * 11 + [6]
+        assert np.array_equal(value, np.concatenate([v for v, _ in groups]))
+        assert np.array_equal(grad, np.concatenate([g for _, g in groups], axis=1))
+        assert np.array_equal(value, spectra._sweep(kernel, (shifts, weights), grid, 1))
+
+    def test_criterion_9_workload_splits_for_eight_workers(self):
+        # Criterion 9's 201 points x 801 shifts go in 9 reduced tiles (8 of
+        # 24 points and one of 9), so 8 workers each have one to take, and
+        # the tiles are the same at 1 and at 8 workers.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        grid = np.linspace(-2e7, 2.5e7, 201)
+        inhom = InhomogeneitySpec(fwhm=presets.INHOM_FWHM, n_samples=801, auto_dense=False)
+        average = _SweepKernel._average
+        tiles = {1: [], 8: []}
+        for workers in tiles:
+            def recorded(self, d, t, w, blocks=None, calls=tiles[workers]):
+                calls.append((d[0], len(d), t[0], len(t)))
+                return average(self, d, t, w, blocks)
+
+            with mock.patch.object(_SweepKernel, "_average", recorded):
+                inhomogeneous_spectrum(spec, inhom, grid, workers=workers)
+        assert len(tiles[1]) >= 8
+        assert sorted(tiles[1]) == sorted(tiles[8])
+        assert [n for *_, n in tiles[1]] == [24] * 8 + [9]
 
     def test_memory_of_one_two_photon_chunk(self):
         # A chunk of the fig5 sweep reduced per two-photon point with three
@@ -558,8 +644,8 @@ class TestSweepKernel:
     def test_tiles_split_a_long_line(self, lambda_spec, monkeypatch, shifts, points, reduced):
         # At 16 points to a tile, one shift x 41 points goes as rows per
         # shift in tiles of 16, 16 and 9 points, and 301 shifts x 3 points
-        # is reduced per two-photon point in tiles of one point by up to
-        # 16 m / |Q| = 36 shifts.
+        # is reduced per two-photon point in tiles of all 3 points (up to
+        # _GROUPS = 4) by up to 16 m / |Q| = 36 shifts.
         monkeypatch.setattr(spectra, "_POINTS", 16)
         kernel = _SweepKernel(lambda_spec)
         deltas = np.linspace(-3e7, 5e7, shifts)
@@ -583,7 +669,7 @@ class TestSweepKernel:
                 _SweepKernel, "_average", recorded_average):
             swept = spectra._sweep(kernel, (deltas, weights), grid, workers=1)
         if reduced:
-            assert tiles == [(36, 1, "reduced")] * 24 + [(13, 1, "reduced")] * 3
+            assert tiles == [(36, 3, "reduced")] * 8 + [(13, 3, "reduced")]
         else:
             assert tiles == [(1, 16, "rows"), (1, 16, "rows"), (1, 9, "rows")]
         # The same steps per point, but a matrix product may round one
@@ -680,10 +766,10 @@ class TestSweepKernel:
         # ruled out, 17-21 shifts by at least as many two-photon points go
         # as rows per shift, and 17-61 shifts by 2-8 points are reduced.  At
         # 12 points to a row tile and 6 to a reduced one (which takes 2-2.7
-        # times as many, by m / |Q|) each spans several tiles, with its
-        # closed-form axis (two-photon points per shift, shifts per point)
-        # split.  Small, because a model whose lines fall back is solved by
-        # dense solves.
+        # times as many, by m / |Q|, and 2 shift-sum groups of lines) each
+        # spans several tiles, with its closed-form axis (two-photon points
+        # per shift, shifts per point) split.  Small, because a model whose
+        # lines fall back is solved by dense solves.
         spec = random_model(np.random.default_rng(seed))
         n_shift = 17 + 2 * (many % 3)
         sizes = {"rows": (n_shift, n_shift + few), "reduced": (17 + 2 * many, 2 + few)}
@@ -708,6 +794,7 @@ class TestSweepKernel:
             else:
                 tiles, entry = 12, mock.patch.object(_SweepKernel, "absorbance", recorded)
             with mock.patch.object(spectra, "_POINTS", tiles), mock.patch.object(
+                    spectra, "_GROUPS", 2), mock.patch.object(
                     _SweepKernel, "reduces", lambda self, nd: route == "reduced"):
                 with entry:
                     ref = inhomogeneous_spectrum(spec, inhom, grid, workers=1).absorbance
@@ -889,12 +976,12 @@ class TestReduction:
 
     def test_memory_of_a_gradient_reduction(self):
         # The fig5 spectrum with three parameters' gradient, 5001 shifts x
-        # 226 points, reduced per two-photon point: about 2.0 MiB at the
-        # peak, most of it _sweep's untouched heap block.  Rows per shift
-        # took 3.4 MiB.  With one line that fails its checks, redone by the
-        # dense solve in slices, about 2.0 MiB for the value and 2.2 MiB with
-        # the gradient (5.2 and 6.2 MiB when it was redone as one batch of
-        # rows per two-photon point).
+        # 226 points, reduced per two-photon point: about 2.2 MiB at the
+        # peak (2.0 MiB in tiles of one shift-sum group), most of it _sweep's
+        # untouched heap block.  Rows per shift took 3.4 MiB.  With one line
+        # that fails its checks, redone by the dense solve in slices, about
+        # 2.0 MiB for the value and 2.25 MiB with the gradient (5.2 and 6.2
+        # MiB when it was redone as one batch of rows per two-photon point).
         spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
         kernel = _SweepKernel(spec)
         grid = np.linspace(-2e7, 2.5e7, 226)
@@ -903,17 +990,18 @@ class TestReduction:
         blocks = parameter_blocks(spec, ("gamma_e", "omega_c", "gamma_g_star"), (5e6, 8e6, 3e5))
         assert kernel.reduces(len(shifts))
         factors, redo = _SweepKernel._line_factors, _SweepKernel._redo_line
-        tiles, redone = [], []
+        redone = []
+        # The line at grid[99], found by its matrix, built as _average builds it.
+        p = slice(kernel.tp_idx.start, kernel.tp_idx.stop)
+        line_99 = kernel.a0.copy()
+        line_99[p, p] += grid[99] * kernel.tp_block
 
         def poisoned(self, a, idx, v_block, adjoint):
             out = factors(self, a, idx, v_block, adjoint)
-            tiles.append(None)
-            if len(tiles) == 100:  # one line per tile: grid[99]
-                out[7][0] = np.inf  # cond(W)
+            out[7][(a == line_99).all(axis=(1, 2))] = np.inf  # cond(W)
             return out
 
         def peak(blocks):
-            tiles.clear()
             tracemalloc.start()
             try:
                 spectra._sweep(kernel, (shifts, weights), grid, 1, blocks)
