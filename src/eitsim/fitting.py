@@ -10,7 +10,9 @@ the optimizer only sees the physical parameters.  Its Jacobian is exact: the
 sweep kernel returns each model spectrum's gradient with the spectrum, its
 adjoint rows formed from the same factors as the states, and the profiled
 nuisances enter by the variable-projection derivative (Golub & Pereyra 1973,
-SIAM J. Numer. Anal. 10:413).  No finite differences are taken.  The optimizer,
+SIAM J. Numer. Anal. 10:413).  One pseudo-inverse per trace and evaluation
+forms that projection, and the residual, the Jacobian and the identifiability
+report all read it.  No finite differences are taken.  The optimizer,
 scipy.optimize.least_squares, is imported by the first fit() call, so
 importing this module loads no scipy.
 """
@@ -98,6 +100,8 @@ class FitProblem:
         _check_workers(self.workers)
         if not 0 < self.power_ref < np.inf:
             raise ValueError("power_ref must be finite and > 0")
+        if self.rabi_power_scaling and self.template.control is None:
+            raise ValueError("rabi_power_scaling: the template has no 'control' field to scale")
         names = [p.name for p in self.parameters]
         for k, name in enumerate(names):
             if name in names[:k]:
@@ -290,38 +294,42 @@ class _Objective:
         return hit
 
     def _profile(self, t: int, x: np.ndarray):
-        """Trace t's model and gradient, point weights, design [w m, w], the
-        profiled coefficients (scale, offset) and the weighted residual."""
+        """Trace t's variable projection at x, formed here only: weights w, the
+        spread ws = w (s - s_bar) about the w^2-weighted mean s_bar (centred so
+        that a large offset costs no digits), design D = [w m, w], its
+        pseudo-inverse D^+, (scale, offset) = D^+ ws + (0, s_bar), the residual
+        r = ws - D D^+ ws, and w dm with its projection (I - D D^+) w dm."""
         trace = self.traces[t]
         m, dm = self.model(t, x)
         w = 1.0 / trace.sigma if trace.sigma is not None else np.ones_like(m)
-        # Profile the linear nuisances: minimize ||w*(signal - a*m - b)||.
+        mean = np.average(trace.signal, weights=w**2)
+        ws = w * (trace.signal - mean)
         design = np.column_stack([m * w, w])
-        coef, *_ = np.linalg.lstsq(design, trace.signal * w, rcond=None)
-        return m, dm, w, design, coef, w * (trace.signal - coef[0] * m - coef[1])
+        pinv = np.linalg.pinv(design)
+        coef = pinv @ ws
+        ddm = dm.T * w[:, None]
+        r = ws - design @ coef
+        return ws, pinv, coef + (0.0, mean), r, ddm, ddm - design @ (pinv @ ddm)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._profile(t, x)[-1] for t in range(len(self.traces))])
+        return np.concatenate([self._profile(t, x)[3] for t in range(len(self.traces))])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Exact derivative of residuals(x) with the nuisances profiled out.
 
         With design D, coef = D^+ w s and r = w s - D coef, a change dD = [w
         dm, 0] of the design gives dr = -(I - D D^+) dD coef - D^+T dD^T r
-        (Golub & Pereyra 1973); D^+ rather than (D^T D)^-1, whose condition
-        number is that of D squared.
+        (Golub & Pereyra 1973): per trace -(scale (I - D D^+) w dm + D^+[0]
+        (r^T w dm)), both terms read from _profile.  D^+ rather than (D^T
+        D)^-1, whose condition number is that of D squared.
         """
         jac = np.zeros((sum(len(tr.signal) for tr in self.traces), len(x)))
         row = 0
-        for t, trace in enumerate(self.traces):
-            m, dm, w, design, coef, _ = self._profile(t, x)
-            pinv = np.linalg.pinv(design)
-            ddm = dm.T * w[:, None]  # first column of each dD, (points, slots)
-            shift = coef[0] * ddm
-            shift -= design @ (pinv @ shift)
-            shift += np.outer(pinv[0], (w * trace.signal - design @ coef) @ ddm)
-            jac[row : row + len(m), self.slots[t]] = -shift
-            row += len(m)
+        for t in range(len(self.traces)):
+            _, pinv, coef, r, ddm, projected = self._profile(t, x)
+            jac[row : row + len(r), self.slots[t]] = -(
+                coef[0] * projected + np.outer(pinv[0], r @ ddm))
+            row += len(r)
         return jac
 
 
@@ -369,19 +377,11 @@ def fit(traces, problem: FitProblem) -> FitResult:
     # The absorbance observable is dimensionless but tiny (weak probe), so
     # raw residuals would trip the optimizer's absolute gtol immediately.
     # A uniform residual scaling cancels exactly in the estimates and in the
-    # covariance (cost and Jacobian scale together), so it is safe.
-    norm = float(
-        np.sqrt(
-            np.mean(
-                np.concatenate(
-                    [
-                        (t.signal / t.sigma if t.sigma is not None else t.signal) ** 2
-                        for t in traces
-                    ]
-                )
-            )
-        )
-    )
+    # covariance (cost and Jacobian scale together), so it is safe.  It is
+    # the RMS of the spread each trace's profiled offset leaves, so no offset
+    # can shrink it; the model at x0 is the optimizer's first evaluation.
+    spread = np.concatenate([obj._profile(t, obj.x0)[0] for t in range(len(traces))])
+    norm = float(np.sqrt(np.mean(spread**2)))
     res = least_squares(
         lambda x: obj.residuals(x) / norm,
         obj.x0,
@@ -408,7 +408,7 @@ def fit(traces, problem: FitProblem) -> FitResult:
     cov = (vt.T * s_inv**2) @ vt * s2
 
     # The profiled (scale, offset) of each trace at the returned estimates.
-    coefs = [obj._profile(t, res.x)[4] for t in range(len(traces))]
+    coefs = [obj._profile(t, res.x)[2] for t in range(len(traces))]
     # Vector slots are in name order: a shared parameter has a single slot.
     return FitResult(
         parameter_names=list(obj.names),
@@ -439,11 +439,10 @@ def _sensitivity(obj: _Objective):
     jac = np.zeros_like(raw)
     row = 0
     for t in range(len(obj.traces)):
-        m, dm, w, design, *_ = obj._profile(t, obj.x0)
-        ddm = dm.T * w[:, None]
-        raw[row : row + len(m), obj.slots[t]] = ddm
-        jac[row : row + len(m), obj.slots[t]] = ddm - design @ (np.linalg.pinv(design) @ ddm)
-        row += len(m)
+        *_, ddm, projected = obj._profile(t, obj.x0)
+        raw[row : row + len(ddm), obj.slots[t]] = ddm
+        jac[row : row + len(ddm), obj.slots[t]] = projected
+        row += len(ddm)
 
     norms = np.linalg.norm(jac, axis=0)
     safe = np.where(norms > 0, norms, 1.0)

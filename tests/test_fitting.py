@@ -214,7 +214,6 @@ class TestFit:
         )
 
     def test_noise_free_truth_start(self):
-        trace = generate(presets.three_level_lambda())
         problem = FitProblem(
             template=presets.three_level_lambda(),
             inhom=INHOM,
@@ -223,10 +222,11 @@ class TestFit:
                 FreeParameter("gamma_g_star", presets.GAMMA_G_STAR, 1e3, 1e6),
             ),
         )
-        result = fit([trace], problem)
-        assert result.converged
-        assert result.residual_norm < 1e-10
-        assert result.estimates["gamma_e"] == pytest.approx(presets.GAMMA_E, rel=1e-6)
+        for offset in (0.0, 2.5):
+            result = fit([generate(presets.three_level_lambda(), offset=offset)], problem)
+            assert result.converged
+            assert result.residual_norm < 1e-10
+            assert result.estimates["gamma_e"] == pytest.approx(presets.GAMMA_E, rel=1e-6)
 
     def test_noisy_round_trip(self):
         trace = generate(
@@ -274,6 +274,9 @@ class TestFit:
             assert np.isfinite(list(fit([few], problem).uncertainties.values())).all()
 
     def test_scale_offset_invariance(self):
+        # The profiled scale and offset absorb both, and so must the residual
+        # scaling: one that counted the offset stopped the fit early at 2.5
+        # (gamma_e off by 14 %) and at its start values at 100, converged.
         trace = generate(presets.three_level_lambda(), noise=0.002, seed=3)
         r1 = fit([trace], self.problem())
         boosted = ObservedTrace(trace.delta_grid, 250.0 * trace.signal)
@@ -281,6 +284,12 @@ class TestFit:
         for name in r1.estimates:
             assert r2.estimates[name] == pytest.approx(r1.estimates[name], rel=1e-6)
         assert r2.scales[0] == pytest.approx(250.0 * r1.scales[0], rel=1e-6)
+        for offset in (0.1, 2.5, 100.0):
+            shifted = fit([ObservedTrace(trace.delta_grid, trace.signal + offset)], self.problem())
+            assert shifted.converged
+            for name in r1.estimates:
+                assert shifted.estimates[name] == pytest.approx(r1.estimates[name], rel=1e-6)
+            assert shifted.offsets[0] == pytest.approx(r1.offsets[0] + offset, rel=1e-6)
 
     def test_bit_reproducible(self):
         trace = generate(presets.three_level_lambda(), noise=0.002, seed=4)
@@ -408,6 +417,17 @@ def test_zero_control_under_power_scaling():
     assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
 
 
+def test_power_scaling_needs_a_control_field():
+    # A fit of such a problem used to die inside spec_for_trace with
+    # AttributeError: 'NoneType' object has no attribute 'couplings'.
+    spec = presets.three_level_lambda()
+    probe_only = replace(spec, drives=tuple(d for d in spec.drives if d.field_id != "control"))
+    parameters = (FreeParameter("gamma_e", 7e6, 1e6, 3e7),)
+    with pytest.raises(ValueError, match="no 'control' field"):
+        FitProblem(probe_only, INHOM, parameters, rabi_power_scaling=True)
+    assert not FitProblem(probe_only, INHOM, parameters).rabi_power_scaling
+
+
 @pytest.mark.parametrize("template, name", [
     (presets.three_level_lambda(), "energy:g1"),
     (presets.three_level_lambda(), "energy:g2"),
@@ -447,6 +467,26 @@ class TestIdentifiability:
         report = identifiability_report(problem, traces)
         assert report.degenerate_pairs == [("gamma_e", "gamma_e_deph")]
         assert fit(traces, problem).degenerate_pairs == report.degenerate_pairs
+
+    def test_report_and_jacobian_share_one_projection(self):
+        # At the truth of a noise-free trace the residual is 0, so each column
+        # of the fit's Jacobian is the scale times the projected derivative
+        # whose norm the report gives.
+        problem = FitProblem(
+            template=presets.three_level_lambda(),
+            inhom=INHOM,
+            parameters=(
+                FreeParameter("gamma_e", presets.GAMMA_E, 1e6, 3e7),
+                FreeParameter("gamma_g_star", presets.GAMMA_G_STAR, 1e3, 1e6),
+                FreeParameter("omega_c", presets.OMEGA_C, 1e5, 5e7),
+            ),
+        )
+        trace = generate(presets.three_level_lambda(), scale=3.0, offset=0.01)
+        obj = _Objective([trace], problem)
+        columns = np.linalg.norm(obj.jacobian(obj.x0), axis=0) / 3.0
+        report = identifiability_report(problem, [trace])
+        sensitivities = [report.sensitivities[name] for name in report.parameter_names]
+        assert np.abs(columns / sensitivities - 1.0).max() <= 1e-9
 
     def test_decay_vs_dephasing_degenerate(self):
         # a single EIT trace cannot separate excited decay from excited
