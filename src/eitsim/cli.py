@@ -263,6 +263,7 @@ def cmd_fit(args) -> int:
     scale = unit_scale(cfg.get("units", "Hz"))
     template = _model_from_config(cfg, base)
     inhom = _inhom_from_config(cfg, scale)
+    scaling = _flag(cfg, "rabi_power_scaling", "")
     traces = []
     for k, block in enumerate(_list(cfg, "traces")):
         where = f"traces[{k}]"
@@ -272,6 +273,9 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"{where}.csv: missing or unreadable: {exc}")
         except ModelFormatError as exc:
             raise ConfigError(f"{where}.csv: {exc}")
+        if scaling and "power_mw" not in block:
+            raise ConfigError(f"{where}.power_mw: missing, and rabi_power_scaling scales "
+                              "the control by each trace's power")
         power = (_number(block, "power_mw", where, low=0.0, above=True) * 1e-3
                  if "power_mw" in block else None)
         traces.append(ObservedTrace(delta, signal, sigma, power))
@@ -304,7 +308,7 @@ def cmd_fit(args) -> int:
         template=template,
         inhom=inhom,
         parameters=tuple(params),
-        rabi_power_scaling=_flag(cfg, "rabi_power_scaling", ""),
+        rabi_power_scaling=scaling,
         power_ref=_number(cfg, "power_ref_mw", "", 1.0, low=0.0, above=True) * 1e-3,
         workers=args.workers,
     )

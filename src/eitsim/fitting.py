@@ -215,6 +215,11 @@ class _Objective:
     gradients, with caching."""
 
     def __init__(self, traces: list[ObservedTrace], problem: FitProblem):
+        if problem.rabi_power_scaling:
+            for t, trace in enumerate(traces):
+                if trace.power is None:
+                    raise ValueError(f"traces[{t}]: no power, and rabi_power_scaling "
+                                     "scales the control by each trace's power")
         self.traces = traces
         self.problem = problem
         self.names: list[str] = []
@@ -257,7 +262,7 @@ class _Objective:
         spec = self.problem.template
         for slot in self.slots[t]:
             spec = apply_parameter(spec, self.param_of_slot[slot].name, x[slot])
-        if self.problem.rabi_power_scaling and self.traces[t].power is not None:
+        if self.problem.rabi_power_scaling:
             top = max((c.rabi for c in spec.control.couplings), default=0.0)
             rabi = rabi_from_power(self.traces[t].power, top, self.problem.power_ref)
             spec = apply_parameter(spec, "omega_c", rabi)
@@ -358,7 +363,8 @@ def fit(traces, problem: FitProblem) -> FitResult:
     identifiability_report's degenerate pairs come from the fit's own model
     evaluation at the initial point.  An omega_c or omega_p that starts at 0
     raises ValueError: the fit could not leave it.  So does a series whose
-    every signal is constant.
+    every signal is constant, and, under rabi_power_scaling, one with a
+    trace without a power.
     """
     global least_squares
     for p in problem.parameters:
@@ -464,14 +470,14 @@ def identifiability_report(problem: FitProblem, traces=None) -> IdentifiabilityR
     Parameter pairs whose projected derivatives are collinear beyond |corr|
     > 0.99 cannot be determined independently from the given data and are
     flagged, and so is (name, "scale") for a parameter that mostly rescales
-    the spectrum.  Only the traces' grids and sigmas enter.  Without
-    observed traces the template's default grid is used.
+    the spectrum.  Only the traces' grids, sigmas and powers enter.  Without
+    observed traces the template's default grid is used, at power_ref.
     """
     from .spectra import default_delta_grid
 
     if traces is None:
         grid = default_delta_grid(problem.template)
-        traces = [ObservedTrace(grid, np.zeros_like(grid))]
+        traces = [ObservedTrace(grid, np.zeros_like(grid), power=problem.power_ref)]
     else:
         traces = list(traces)
     obj = _Objective(traces, problem)

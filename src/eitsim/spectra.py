@@ -24,7 +24,9 @@ each tile to its weighted partial at once, added in tile order (see _sweep),
 so memory does not grow with the shift count and results are bit-identical
 for any worker count.  For a fit the same pass also gives the gradient of
 the average with respect to parameters that enter the generator affinely,
-from the same factors.
+from the same factors and the value's own shift terms: their weighted
+products among a line's poles with Im lam >= 0, the rest by conjugation and
+partial fractions per line.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _MAX_COND_W = 1e4  # beyond this a near-defective pole basis costs accuracy that
                    # the Newton step on the eigenpairs does not restore; such a
                    # line is redone by a dense solve (see _redo_line)
 _MAX_IMAG = 1e-13  # share of max|A| that T A T^-1 may keep as imaginary part
+_POLE_GAP = 1e-6  # relative distance below which a pole and the conjugate of
+                  # another fail the gradient's divided differences (about
+                  # 2e-10 accurate at it; see _pole_products)
 _MIN_REDUCED_SHIFTS = 100  # below this many shifts rows beat _average; a line's
                            # factors (eig, Newton step, checks) cost about as
                            # much as 50-150 row points (Lambda, fig5)
@@ -527,7 +532,15 @@ class _SweepKernel:
             R^T (s0 o zeta) (x) y - R^T diag(zeta) S1 diag(beta) P^T,
 
         s0_j = sum_d w_d / (1 + d lam_j), S1_ij = sum_d w_d d / ((1 + d
-        lam_i)(1 + d lam_j)): |S|^2 products per point.
+        lam_i)(1 + d lam_j)), from the value's own terms 1 / (1 + d lam)
+        over the k poles with Im lam >= 0: weights @ them is both the value's
+        sum and s0 there, and one weighted product of them S1 among them,
+        its diagonal included.  A pole with Im lam < 0 is its partner's
+        conjugate and takes the conjugates of its sums, and S1 between the
+        two halves comes by partial fractions, S1_ij = (s0_j - s0_i) /
+        (lam_i - lam_j) (_pole_products).  So the gradient adds k^2 products
+        per shift to the value's k divides, and the rest of the formula is
+        per line, not per shift.
 
         A line whose refined residual or cond(W) fails, whose state x(d)
         fails the residual check at the largest weight or either end of
@@ -535,8 +548,10 @@ class _SweepKernel:
         whose value is not finite, and every line of a call whose
         factorisation fails, is redone by _redo_line: its value is weights @
         the line's values, and its gradient the weighted sum of its terms.  A
-        line whose gradient alone is not finite has only its gradient redone,
-        so its value stays the one _average(..., blocks=None) gives.
+        line whose gradient alone fails, as it is not finite, its poles do
+        not pair as conjugates, or a pole lies within _POLE_GAP of the
+        conjugate of another, has only its gradient redone, so its value
+        stays the one _average(..., blocks=None) gives.
         """
         v_block, s = self.delta_block, slice(self.delta_idx.start, self.delta_idx.stop)
         p = slice(self.tp_idx.start, self.tp_idx.stop)
@@ -562,11 +577,19 @@ class _SweepKernel:
             zeta = self.readout[s] @ w
             alpha = zeta * beta * count
             step = max(1, self._reduced_points() // len(deltas))
-            groups = [slice(j, j + step) for j in range(0, len(two_photons), step)]
-            for lines in groups:
+            if blocks is not None:
+                s0 = np.zeros(lam.shape, complex)
+                s1 = np.zeros(lam.shape + lam.shape[1:], complex)
+            for j in range(0, len(two_photons), step):
+                lines = slice(j, j + step)
                 k = int((count[lines] > 0).sum(axis=1).max())
-                out[lines] = (alpha[lines, :k]
-                              * (weights @ poles(deltas, lam[lines, :k]))).sum(axis=1).real
+                r = poles(deltas, lam[lines, :k])
+                sums = weights @ r
+                out[lines] = (alpha[lines, :k] * sums).sum(axis=1).real
+                if blocks is not None:
+                    s0[lines, :k] = sums
+                    s1[lines, :k, :k] = (r * (weights * deltas)[:, None]).swapaxes(1, 2) @ r
+                del r  # so that the next group's array is not held with it
             # x(d) at three shifts; NaN-safe as in absorbance.
             d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
             vw = v_block @ w
@@ -590,18 +613,21 @@ class _SweepKernel:
             ok &= np.isfinite(out)
             grad_ok = ok
             if blocks is not None:
-                for lines in groups:
-                    every = poles(deltas, lam[lines])
-                    s0 = weights @ every
-                    s1 = (every * (weights * deltas)[:, None]).swapaxes(1, 2) @ every
-                    r_t = r_s[lines].swapaxes(1, 2)  # R^T
-                    core = (r_t @ (zeta[lines, :, None] * s1 * beta[lines, None, :])
-                            @ pw[lines].swapaxes(1, 2)).real
-                    np.subtract((r_t @ (s0 * zeta[lines])[..., None]).real * y[lines, None, :],
-                                core, out=core)
-                    grad[:, lines] = -(blocks.reshape(len(blocks), -1)
-                                       @ core.reshape(len(core), -1).T)
-                grad_ok = ok & np.isfinite(grad).all(axis=0)
+                s1, apart = _pole_products(lam, count, s0, s1)
+                s1 *= zeta[:, :, None] * beta[:, None, :]  # diag(zeta) S1 diag(beta)
+                r_t = r_s.swapaxes(1, 2)  # R^T
+                # Re(X P^T) as one real product: a complex array viewed as
+                # float interleaves (Re, Im), so conj(X) against P is it.
+                x = r_t @ s1
+                np.conjugate(x, out=x)
+                core = x.view(float) @ pw.view(float).swapaxes(1, 2)
+                del x  # before the (L, m, m) temporary below
+                core -= (r_t @ (s0 * zeta)[..., None]).real * y[:, None, :]
+                # One product per line, so that a line's gradient does not
+                # depend on the other lines of the call.
+                grad = (core.reshape(len(core), 1, -1)
+                        @ blocks.reshape(len(blocks), -1).T)[:, 0].T
+                grad_ok = ok & apart & np.isfinite(grad).all(axis=0)
         for k in np.flatnonzero(~grad_ok):
             values, terms = self._redo_line(deltas, two_photons[k], blocks)
             if not ok[k]:
@@ -609,6 +635,48 @@ class _SweepKernel:
             if blocks is not None:
                 grad[:, k] = terms @ weights
         return out if blocks is None else (out, grad)
+
+
+def _pole_products(lam, count, s0, s1):
+    """S1 of _SweepKernel._average over every pole of each line, and whether
+    the line may use it, from s0 and S1 among its poles with Im lam >= 0
+    (zero elsewhere); s0 is completed over every pole in place.
+
+    The i-th pole with Im lam < 0 of a line (count 0) is the conjugate of its
+    i-th with Im lam > 0 (count 2): eig gives each pair adjacent, and
+    _line_factors orders them stably.  The shifts are real, so its sums are
+    the conjugates of its partner's.  Between the halves the poles lie at
+    least Im lam_i + Im lam_j apart, so partial fractions lose little there
+    (a conjugate pair's entry is -Im s0_j / Im lam_j, as accurate as its
+    sums).  Within a half they can lie close, 3.7 % apart on the Lambda
+    preset's line at t = 0, where the identity loses digits as 1 / gap (6e-13
+    of the gradient's max from a long-double reference, against 3e-14 from
+    the direct sums); hence the caller sums that block directly.  A line may
+    not use S1 where its poles do not pair so, within _POLE_GAP of their
+    magnitude, or where a pole lies within _POLE_GAP of the conjugate of
+    another.
+    """
+    neg, pos = count == 0, count == 2
+    paired = neg.sum(axis=1) == pos.sum(axis=1)
+    neg &= paired[:, None]
+    pos &= paired[:, None]
+    src = np.broadcast_to(np.arange(lam.shape[1]), lam.shape).copy()  # partners
+    src[neg] = np.nonzero(pos)[1]
+    lam_all = lam.copy()
+    for a in (lam_all, s0):
+        a[neg] = a[pos].conj()
+    s1 = s1[np.arange(len(lam))[:, None, None], src[:, :, None], src[:, None, :]]
+    both = neg[:, :, None] & neg[:, None, :]
+    s1[both] = s1[both].conj()
+    across = neg[:, :, None] != neg[:, None, :]
+    diff = lam_all[:, :, None] - lam_all[:, None, :]  # lam_i - lam_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1[across] = ((s0[:, None, :] - s0[:, :, None]) / diff)[across]
+    size = np.abs(lam_all)
+    paired &= (np.abs(lam_all - lam) <= _POLE_GAP * size).all(axis=1)
+    near = np.abs(diff) <= _POLE_GAP * np.maximum(size[:, :, None], size[:, None, :])
+    near &= across & (src[:, :, None] != src[:, None, :])
+    return s1, paired & ~near.any(axis=(1, 2))
 
 
 def _check_workers(workers) -> None:

@@ -561,6 +561,16 @@ class TestFit:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_power_series_trace_without_power_is_config_error(self, tmp_path, capsys):
+        # Such a trace used to be fitted at the reference power, silently.
+        doc = json.loads(open(self.make_fixture(tmp_path)).read())
+        doc["rabi_power_scaling"] = True
+        cfg = write_json(tmp_path / "fit_power.json", doc)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: traces[0].power_mw: missing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_parameters_is_config_error(self, tmp_path):
         cfg_path = self.make_fixture(tmp_path)
         doc = json.loads(open(cfg_path).read())

@@ -428,6 +428,20 @@ def test_power_scaling_needs_a_control_field():
     assert not FitProblem(probe_only, INHOM, parameters).rabi_power_scaling
 
 
+def test_power_series_refuses_a_trace_without_a_power():
+    # Under sqrt(P) scaling a trace without a power was fitted at the
+    # reference power, silently: refused before any optimizer step, naming
+    # the trace.
+    problem = FitProblem(presets.three_level_lambda(), INHOM,
+                         (FreeParameter("gamma_e", 7e6, 1e6, 3e7),), rabi_power_scaling=True)
+    trace = generate(presets.three_level_lambda(), grid=GRID[::8])
+    traces = [replace(trace, power=16e-3), trace]
+    with mock.patch("eitsim.fitting.least_squares") as optimizer:
+        with pytest.raises(ValueError, match=r"traces\[1\]: no power"):
+            fit(traces, problem)
+    optimizer.assert_not_called()
+
+
 @pytest.mark.parametrize("template, name", [
     (presets.three_level_lambda(), "energy:g1"),
     (presets.three_level_lambda(), "energy:g2"),
@@ -527,6 +541,19 @@ class TestIdentifiability:
         traces = [replace(generate(presets.three_level_lambda()), power=1e-3)]
         report = identifiability_report(problem, traces)
         assert report.degenerate_pairs == [("omega_p", "scale")]
+
+    def test_default_grid_under_power_scaling(self):
+        # The report's own trace on the default grid is at the reference
+        # power, so the sqrt(P) scaling leaves the control as the template
+        # has it: the same report as without the scaling.
+        parameters = (FreeParameter("gamma_e", 1e7, 1e6, 3e7),
+                      FreeParameter("omega_c", presets.OMEGA_C, 1e5, 5e7))
+        plain = identifiability_report(
+            FitProblem(presets.three_level_lambda(), INHOM, parameters))
+        scaled = identifiability_report(FitProblem(
+            presets.three_level_lambda(), INHOM, parameters, rabi_power_scaling=True))
+        assert scaled.sensitivities == plain.sensitivities
+        assert np.array_equal(scaled.correlations, plain.correlations)
 
     def test_distinct_parameters_not_flagged(self):
         problem = FitProblem(

@@ -943,6 +943,91 @@ class TestReduction:
         assert np.array_equal(grad[:, 1], kernel._dense_line(shifts, grid[1], blocks)[1] @ weights)
         assert np.array_equal(grad[:, [0, 2]], clean[1][:, [0, 2]])
 
+    def test_gradient_of_poles_that_are_not_exact_conjugates(self):
+        # On random_model seed 24 the Newton step leaves a pole with Im lam
+        # < 0 that is not its partner's bit-exact conjugate: its real part,
+        # about 7e-40 beside Im lam = -3.2e-8, is twice the partner's.  The
+        # two pair within _POLE_GAP, so its sums are taken as the conjugates
+        # of its partner's: the line is not redone, its value is the
+        # value-only route's, and its gradient, in units of each parameter's
+        # value, is within test_matches_point_wise_averages's 1e-9 of peak
+        # of the average of states and adjoint rows solved in long double.
+        rng = np.random.default_rng(24)
+        spec = random_model(rng)
+        kernel = _SweepKernel(spec)
+        grid = np.linspace(-1e8, 1e8, 5)
+        p, q = (slice(r.start, r.stop) for r in (kernel.tp_idx, kernel.delta_idx))
+        a = np.broadcast_to(kernel.a0, (len(grid),) + kernel.a0.shape).copy()
+        a[:, p, p] += grid[:, None, None] * kernel.tp_block
+        factors = kernel._line_factors(a, kernel.delta_idx, kernel.delta_block, False)
+        lam, count = factors[2], factors[5]
+        assert any((line[c == 0] != line[c == 2].conj()).any() for line, c in zip(lam, count))
+
+        shifts = np.sort(rng.uniform(-1e9, 1e9, 9))
+        weights = rng.dirichlet(np.ones(9))
+        values = np.array([sum(c.rate for c in spec.decays if c.source == "e0"),
+                           spec.probe.couplings[0].rabi])
+        blocks = parameter_blocks(spec, ("gamma_e", "omega_p"), values)
+        with mock.patch.object(_SweepKernel, "_redo_line", side_effect=AssertionError):
+            value, grad = kernel._average(shifts, grid, weights, blocks)
+        assert np.array_equal(value, kernel._average(shifts, grid, weights))
+        c = np.zeros(len(kernel.a0))
+        c[kernel.probe_idx] = kernel.probe_w
+        exact = np.zeros(grad.shape, np.longdouble)
+        for j, t in enumerate(grid):
+            for d, w in zip(shifts, weights):
+                b = kernel.a0.astype(np.longdouble)
+                b[p, p] += np.longdouble(t) * kernel.tp_block
+                b[q, q] += np.longdouble(d) * kernel.delta_block
+                x = extended_solve(b, np.eye(len(b))[0])
+                exact[:, j] -= w * (blocks.astype(np.longdouble) @ x @ extended_solve(b.T, c))
+        peak = np.abs(value).max()
+        assert (np.abs(grad - exact.astype(float)) * values[:, None]).max() <= 1e-9 * peak
+
+    @pytest.mark.parametrize("poison", ["close", "misordered"])
+    def test_close_or_unpaired_poles_have_their_gradient_redone(self, lambda_spec, monkeypatch,
+                                                                poison):
+        # S1's divided differences lose accuracy as a pole and the conjugate
+        # of another close in, and its conjugate sums are wrong for a pole
+        # paired with one that is not its conjugate, so such a line has its
+        # gradient redone by the dense solve and keeps its value.  A pole
+        # moved into the gap would fail the line's own residual check first,
+        # so the guard is met by widening the gap: across the real axis the
+        # Lambda line's poles lie 121 % of their magnitude apart at t = 2e6
+        # and 171 % at t = +-1e5, so a gap of 1.5 holds line 1's ("close").
+        # Swapping line 1's two poles with Im lam <
+        # 0, consistently in every factor, changes no value but pairs each
+        # with the other's partner ("misordered").
+        grid = np.array([-1e5, 2e6, 1e5])
+        shifts = np.linspace(-1e8, 1e8, 21)
+        weights = np.exp(-0.5 * (shifts / 6e7) ** 2)
+        kernel = _SweepKernel(lambda_spec)
+        blocks = parameter_blocks(lambda_spec, ("gamma_e", "omega_c"), (1e7, 3e6))
+        clean = kernel._average(shifts, grid, weights, blocks)
+        factors, redo, redone = _SweepKernel._line_factors, _SweepKernel._redo_line, []
+
+        def misordered(self, *args):
+            y, g, lam, w, winv, count, resid, cond, r_s = factors(self, *args)
+            assert (count[1] == [2, 2, 0, 0]).all()
+            swap = [0, 1, 3, 2]
+            lam[1], w[1], winv[1] = lam[1, swap], w[1][:, swap], winv[1, swap]
+            if r_s is not None:
+                r_s[1] = r_s[1, swap]
+            return y, g, lam, w, winv, count, resid, cond, r_s
+
+        if poison == "close":
+            monkeypatch.setattr(spectra, "_POLE_GAP", 1.5)
+        else:
+            monkeypatch.setattr(_SweepKernel, "_line_factors", misordered)
+        monkeypatch.setattr(_SweepKernel, "_redo_line",
+                            lambda self, d, t, b=None: redone.append(t) or redo(self, d, t, b))
+        value, grad = kernel._average(shifts, grid, weights, blocks)
+        assert redone == [2e6]
+        assert np.array_equal(grad[:, 1], kernel._dense_line(shifts, 2e6, blocks)[1] @ weights)
+        assert np.array_equal(value, kernel._average(shifts, grid, weights))
+        assert np.array_equal(value, clean[0])
+        assert np.array_equal(grad[:, [0, 2]], clean[1][:, [0, 2]])
+
     def test_non_hermitian_generator_is_rejected(self, lambda_spec):
         # A complex Rabi frequency puts H off its Hermitian form, so the
         # generator maps Hermitian states to non-Hermitian ones and has no
