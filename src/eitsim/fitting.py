@@ -10,11 +10,12 @@ the optimizer only sees the physical parameters.  Its Jacobian is exact: the
 sweep kernel returns each model spectrum's gradient with the spectrum, its
 adjoint rows formed from the same factors as the states, and the profiled
 nuisances enter by the variable-projection derivative (Golub & Pereyra 1973,
-SIAM J. Numer. Anal. 10:413).  One pseudo-inverse per trace and evaluation
-forms that projection, and the residual, the Jacobian and the identifiability
-report all read it.  No finite differences are taken.  The optimizer,
-scipy.optimize.least_squares, is imported by the first fit() call, so
-importing this module loads no scipy.
+SIAM J. Numer. Anal. 10:413).  One cached record per trace and point holds
+the model and its projection, formed by one pseudo-inverse; the residual, the
+Jacobian, the fitted curves and the identifiability report all read it, and
+the residual scale reads the data alone.  No finite differences are taken.
+The optimizer, scipy.optimize.least_squares, is imported by the first fit()
+call, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class FitProblem:
 
     def __post_init__(self):
         _check_workers(self.workers)
+        if not self.parameters:
+            raise ValueError("at least one free parameter required")
         if not 0 < self.power_ref < np.inf:
             raise ValueError("power_ref must be finite and > 0")
         if self.rabi_power_scaling and self.template.control is None:
@@ -211,10 +214,12 @@ def apply_parameter(spec: LevelSystemSpec, name: str, value: float) -> LevelSyst
 
 
 class _Objective:
-    """Maps the optimizer vector to per-trace model spectra and their
-    gradients, with caching."""
+    """Maps the optimizer vector to per-trace model spectra, their gradients
+    and their variable projections, one cached record per trace and point."""
 
     def __init__(self, traces: list[ObservedTrace], problem: FitProblem):
+        if not traces:
+            raise ValueError("at least one trace required")
         if problem.rabi_power_scaling:
             for t, trace in enumerate(traces):
                 if trace.power is None:
@@ -239,7 +244,14 @@ class _Objective:
         self.x0 = np.array([p.initial for p in self.param_of_slot])
         self.lower = np.array([p.lower for p in self.param_of_slot])
         self.upper = np.array([p.upper for p in self.param_of_slot])
-        self._cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[tuple, tuple] = {}  # _profile's records
+        # Each trace's data side: weights w, the w^2-weighted mean s_bar and the
+        # spread ws = w (s - s_bar), centred so that a large offset costs no digits.
+        self.data = []
+        for trace in traces:
+            w = 1.0 / trace.sigma if trace.sigma is not None else np.ones(len(trace.signal))
+            mean = np.average(trace.signal, weights=w**2)
+            self.data.append((w, mean, w * (trace.signal - mean)))
         # Freeze the ensemble integration grid at the template's linewidth so
         # the objective stays smooth while decay rates vary (the automatic
         # dense tier would otherwise re-grid at every gamma_e step).
@@ -289,32 +301,34 @@ class _Objective:
     def model(self, t: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model spectrum of trace t at x, bit-equal to inhomogeneous_spectrum's
         on the frozen shift grid, and its gradient over trace t's slots,
-        shape (len(slots), points)."""
-        key = (t,) + tuple(float(x[s]) for s in self.slots[t])
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = _sweep(
-                _SweepKernel(self.spec_for_trace(t, x)), self.shift_grid,
-                self.traces[t].delta_grid, self.problem.workers, self.blocks[t])
-        return hit
+        shape (len(slots), points).  Uncached: _profile caches its result."""
+        return _sweep(_SweepKernel(self.spec_for_trace(t, x)), self.shift_grid,
+                      self.traces[t].delta_grid, self.problem.workers, self.blocks[t])
 
     def _profile(self, t: int, x: np.ndarray):
-        """Trace t's variable projection at x, formed here only: weights w, the
-        spread ws = w (s - s_bar) about the w^2-weighted mean s_bar (centred so
-        that a large offset costs no digits), design D = [w m, w], its
-        pseudo-inverse D^+, (scale, offset) = D^+ ws + (0, s_bar), the residual
-        r = ws - D D^+ ws, and w dm with its projection (I - D D^+) w dm."""
-        trace = self.traces[t]
-        m, dm = self.model(t, x)
-        w = 1.0 / trace.sigma if trace.sigma is not None else np.ones_like(m)
-        mean = np.average(trace.signal, weights=w**2)
-        ws = w * (trace.signal - mean)
-        design = np.column_stack([m * w, w])
-        pinv = np.linalg.pinv(design)
-        coef = pinv @ ws
-        ddm = dm.T * w[:, None]
-        r = ws - design @ coef
-        return ws, pinv, coef + (0.0, mean), r, ddm, ddm - design @ (pinv @ ddm)
+        """Trace t's record at x, formed once per point: the model m, with
+        design D = [w m, w] its pseudo-inverse D^+, (scale, offset) = D^+ ws +
+        (0, s_bar), the residual r = ws - D D^+ ws, and w dm with its
+        projection (I - D D^+) w dm."""
+        key = (t,) + tuple(float(x[s]) for s in self.slots[t])
+        if key not in self._cache:
+            w, mean, ws = self.data[t]
+            m, dm = self.model(t, x)
+            design = np.column_stack([m * w, w])
+            pinv = np.linalg.pinv(design)
+            coef = pinv @ ws
+            ddm = dm.T * w[:, None]
+            r = ws - design @ coef
+            self._cache[key] = m, pinv, coef + (0.0, mean), r, ddm, ddm - design @ (pinv @ ddm)
+        return self._cache[key]
+
+    def _stack(self, blocks) -> np.ndarray:
+        """Per-trace (points, len(slots)) blocks over every slot, stacked by rows."""
+        ends = np.cumsum([len(block) for block in blocks])
+        out = np.zeros((ends[-1], len(self.x0)))
+        for t, (block, end) in enumerate(zip(blocks, ends)):
+            out[end - len(block) : end, self.slots[t]] = block
+        return out
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([self._profile(t, x)[3] for t in range(len(self.traces))])
@@ -328,14 +342,9 @@ class _Objective:
         (r^T w dm)), both terms read from _profile.  D^+ rather than (D^T
         D)^-1, whose condition number is that of D squared.
         """
-        jac = np.zeros((sum(len(tr.signal) for tr in self.traces), len(x)))
-        row = 0
-        for t in range(len(self.traces)):
-            _, pinv, coef, r, ddm, projected = self._profile(t, x)
-            jac[row : row + len(r), self.slots[t]] = -(
-                coef[0] * projected + np.outer(pinv[0], r @ ddm))
-            row += len(r)
-        return jac
+        records = [self._profile(t, x) for t in range(len(self.traces))]
+        return self._stack([-(coef[0] * projected + np.outer(pinv[0], r @ ddm))
+                            for _, pinv, coef, r, ddm, projected in records])
 
 
 def _stuck_start(p: FreeParameter) -> str | None:
@@ -374,8 +383,6 @@ def fit(traces, problem: FitProblem) -> FitResult:
     if least_squares is None:
         from scipy.optimize import least_squares
     traces = list(traces)
-    if not traces:
-        raise ValueError("at least one trace required")
     obj = _Objective(traces, problem)
     why = _flat_series(traces)
     if why:
@@ -385,8 +392,8 @@ def fit(traces, problem: FitProblem) -> FitResult:
     # A uniform residual scaling cancels exactly in the estimates and in the
     # covariance (cost and Jacobian scale together), so it is safe.  It is
     # the RMS of the spread each trace's profiled offset leaves, so no offset
-    # can shrink it; the model at x0 is the optimizer's first evaluation.
-    spread = np.concatenate([obj._profile(t, obj.x0)[0] for t in range(len(traces))])
+    # can shrink it, and it reads the data alone.
+    spread = np.concatenate([ws for _, _, ws in obj.data])
     norm = float(np.sqrt(np.mean(spread**2)))
     res = least_squares(
         lambda x: obj.residuals(x) / norm,
@@ -413,8 +420,8 @@ def fit(traces, problem: FitProblem) -> FitResult:
     s_inv = np.where(tiny, 0.0, 1.0 / np.maximum(s, 1e-300))
     cov = (vt.T * s_inv**2) @ vt * s2
 
-    # The profiled (scale, offset) of each trace at the returned estimates.
-    coefs = [obj._profile(t, res.x)[2] for t in range(len(traces))]
+    # Each trace's model and profiled (scale, offset) at the returned estimates.
+    fitted = [obj._profile(t, res.x)[:3] for t in range(len(traces))]
     # Vector slots are in name order: a shared parameter has a single slot.
     return FitResult(
         parameter_names=list(obj.names),
@@ -422,12 +429,12 @@ def fit(traces, problem: FitProblem) -> FitResult:
         uncertainties=dict(zip(obj.names, map(float, np.sqrt(np.diag(cov))))),
         covariance=cov,
         residual_norm=float(norm * np.linalg.norm(res.fun)),
-        scales=np.array([a for a, _ in coefs]),
-        offsets=np.array([b for _, b in coefs]),
+        scales=np.array([a for _, _, (a, _) in fitted]),
+        offsets=np.array([b for _, _, (_, b) in fitted]),
         converged=res.status > 0,
         message=res.message,
         warnings=warnings,
-        curves=[a * obj.model(t, res.x)[0] + b for t, (a, b) in enumerate(coefs)],
+        curves=[a * m + b for m, _, (a, b) in fitted],
         nfev=int(res.nfev),
         njev=int(res.njev),
         degenerate_pairs=_sensitivity(obj)[2],
@@ -439,16 +446,11 @@ def _sensitivity(obj: _Objective):
     (I - D D^+) w dm per trace with design D = [w m, w]: the fit's Jacobian
     at unit scale, free of the data.  Flags the pairs collinear beyond
     |corr| > CORRELATION_FLAG, and (name, "scale") for a parameter keeping
-    less than _SCALE_SHARE of its raw norm.  The model at x0 is a cache hit
-    once a fit has evaluated it."""
-    raw = np.zeros((sum(len(tr.delta_grid) for tr in obj.traces), len(obj.x0)))
-    jac = np.zeros_like(raw)
-    row = 0
-    for t in range(len(obj.traces)):
-        *_, ddm, projected = obj._profile(t, obj.x0)
-        raw[row : row + len(ddm), obj.slots[t]] = ddm
-        jac[row : row + len(ddm), obj.slots[t]] = projected
-        row += len(ddm)
+    less than _SCALE_SHARE of its raw norm.  The records at x0 are cache
+    hits once a fit has evaluated them."""
+    records = [obj._profile(t, obj.x0) for t in range(len(obj.traces))]
+    raw = obj._stack([ddm for *_, ddm, _ in records])
+    jac = obj._stack([projected for *_, projected in records])
 
     norms = np.linalg.norm(jac, axis=0)
     safe = np.where(norms > 0, norms, 1.0)

@@ -864,8 +864,8 @@ def eit_threshold(omega_c: float, delta_i: float, gamma_g: float) -> ThresholdRe
     The broadened-ensemble condition is omega_c^2 > delta_i * gamma_g
     (strict); margin is the ratio of the two sides.
     """
-    if omega_c < 0 or delta_i < 0 or gamma_g < 0:
-        raise ValueError("inputs must be nonnegative")
+    if not all(0 <= v < np.inf for v in (omega_c, delta_i, gamma_g)):
+        raise ValueError("inputs must be finite and nonnegative")
     product = delta_i * gamma_g
     min_omega = np.sqrt(product)
     margin = np.inf if product == 0 else omega_c**2 / product
@@ -878,14 +878,14 @@ def eit_threshold(omega_c: float, delta_i: float, gamma_g: float) -> ThresholdRe
 
 def rabi_from_power(power: float, omega_ref: float, power_ref: float) -> float:
     """Square-root intensity scaling from a (rabi, power) calibration point."""
-    if power <= 0 or power_ref <= 0:
-        raise ValueError("powers must be > 0")
+    if not (0 < power < np.inf and 0 < power_ref < np.inf and abs(omega_ref) < np.inf):
+        raise ValueError("powers must be finite and > 0, and omega_ref finite")
     return omega_ref * np.sqrt(power / power_ref)
 
 
 def power_from_rabi(omega: float, omega_ref: float, power_ref: float) -> float:
     """Inverse of rabi_from_power."""
-    if omega < 0 or omega_ref <= 0 or power_ref <= 0:
+    if not (0 <= omega < np.inf and 0 < omega_ref < np.inf and 0 < power_ref < np.inf):
         raise ValueError("invalid calibration")
     return power_ref * (omega / omega_ref) ** 2
 

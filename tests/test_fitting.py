@@ -343,8 +343,34 @@ class TestFit:
             self.problem(rabi_power_scaling=True, power_ref=power_ref)
 
     def test_empty_traces_rejected(self):
-        with pytest.raises(ValueError):
-            fit([], self.problem())
+        # The report used to raise a KeyError that blamed the first parameter.
+        problem = self.problem()
+        for call in (lambda: fit([], problem), lambda: identifiability_report(problem, [])):
+            with pytest.raises(ValueError, match="at least one trace required"):
+                call()
+
+    def test_no_parameters_rejected(self):
+        # fit and the report used to fail in numpy, reshaping an empty array.
+        with pytest.raises(ValueError, match="at least one free parameter required"):
+            FitProblem(presets.three_level_lambda(), INHOM, ())
+
+    def test_one_projection_per_trace_and_point(self):
+        # Each trace's model and projection are formed once per point: the
+        # residual scale reads the data alone, and the residual, the Jacobian,
+        # the curves and the report read one cached record.
+        traces = [generate(presets.three_level_lambda(), scale=s, offset=0.01, noise=0.002,
+                           seed=s) for s in (1, 2)]
+        problem = self.problem()
+        with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv, \
+                mock.patch.object(_Objective, "model", autospec=True,
+                                  side_effect=_Objective.model) as model:
+            result = fit(traces, problem)
+        assert 0 < pinv.call_count == model.call_count <= len(traces) * result.nfev
+        x = np.array([result.estimates[name] for name in result.parameter_names])
+        obj = _Objective(traces, problem)
+        for t, curve in enumerate(result.curves):
+            m = obj.model(t, x)[0]
+            assert np.array_equal(curve, result.scales[t] * m + result.offsets[t])
 
     @pytest.mark.parametrize("level", [0.0, 2.5])
     def test_flat_series_rejected(self, level):

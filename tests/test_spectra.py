@@ -1272,13 +1272,21 @@ class TestThreshold:
         assert power_from_rabi(14.8e6, 7.4e6, 1e-3) == pytest.approx(4e-3)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            rabi_from_power(-1.0, 7.4e6, 1e-3)
-        with pytest.raises(ValueError):
-            eit_threshold(-1.0, 1.0, 1.0)
+        # A non-finite argument used to return nan, or satisfied=True for an
+        # infinite omega_c.
+        for call, args in [
+            (rabi_from_power, (-1.0, 7.4e6, 1e-3)), (eit_threshold, (-1.0, 1.0, 1.0)),
+            (eit_threshold, (np.nan, 1e6, 1e4)), (eit_threshold, (1e6, np.nan, 1e4)),
+            (eit_threshold, (1e6, 1e6, np.nan)), (eit_threshold, (np.inf, 1e6, 1e4)),
+            (rabi_from_power, (np.nan, 1e6, 1e-3)), (rabi_from_power, (1e-3, np.nan, 1e-3)),
+            (rabi_from_power, (1e-3, 1e6, np.inf)),
+        ]:
+            with pytest.raises(ValueError):
+                call(*args)
 
     @pytest.mark.parametrize("omega, omega_ref, power_ref", [
         (-1.0, 7.4e6, 1e-3), (1e6, 0.0, 1e-3), (1e6, 7.4e6, 0.0),
+        (np.nan, 7.4e6, 1e-3), (1e6, np.inf, 1e-3), (1e6, 7.4e6, np.nan),
     ])
     def test_invalid_calibration(self, omega, omega_ref, power_ref):
         with pytest.raises(ValueError, match="invalid calibration"):
