@@ -360,6 +360,9 @@ def cmd_check(args) -> int:
     scale = unit_scale(cfg.get("units", "Hz"))
     omega_c, delta_i, gamma_g = (_number(cfg, key, "", low=0.0, scale=scale)
                                  for key in ("omega_c", "delta_i", "gamma_g"))
+    if not np.isfinite(delta_i * gamma_g):
+        raise ConfigError(f"delta_i * gamma_g: {delta_i:g} Hz * {gamma_g:g} Hz "
+                          "overflows; the threshold needs a finite product")
     calib = cfg.get("calibration")
     if calib is not None:
         omega_ref = _number(calib, "omega_ref", "calibration", low=0.0, above=True,

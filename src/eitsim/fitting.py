@@ -14,8 +14,12 @@ SIAM J. Numer. Anal. 10:413).  One cached record per trace and point holds
 the model and its projection, formed by one pseudo-inverse; the residual, the
 Jacobian, the fitted curves and the identifiability report all read it, and
 the residual scale reads the data alone.  No finite differences are taken.
-The optimizer, scipy.optimize.least_squares, is imported by the first fit()
-call, so importing this module loads no scipy.
+The fit stops at its statistical resolution, once a step lowers the cost by
+less than _STOP_SIGMA^2 / dof of itself (dof residual degrees of freedom):
+what a move of _STOP_SIGMA of each uncertainty would gain.  So rounding
+does not decide how many evaluations a fit takes.  The optimizer,
+scipy.optimize.least_squares, is imported by the first fit() call, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -40,6 +44,9 @@ CORRELATION_FLAG = 0.99
 # Share of a parameter's model derivative that must survive the projection
 # off the profiled scale and offset for the report not to flag it.
 _SCALE_SHARE = 1e-3
+# Largest move of an estimate, in units of its own uncertainty, that the
+# fit's last step may still make: fit derives its ftol from it.
+_STOP_SIGMA = 1e-3
 # scipy.optimize.least_squares once fit() has imported it.  A module global,
 # not a local, because perfbench's tracer wraps the optimizer where this
 # module binds it.
@@ -395,6 +402,15 @@ def fit(traces, problem: FitProblem) -> FitResult:
     # can shrink it, and it reads the data alone.
     spread = np.concatenate([ws for _, _, ws in obj.data])
     norm = float(np.sqrt(np.mean(spread**2)))
+    # Each trace's profiled scale and offset use up two degrees of freedom too.
+    dof = spread.size - obj.x0.size - 2 * len(traces)
+    # Stopping rule.  Near the minimum C(x) = C* + (x - x*)^T J^T J (x - x*)
+    # / 2, with C* = s2 dof / 2 and the covariance s2 (J^T J)^-1; so a step
+    # that moves the estimates by k of their uncertainties changes the cost
+    # by about k^2 / dof of itself (Bates & Watts 1981, Technometrics
+    # 23:179; Dennis & Schnabel 1983, sec. 7.2).  ftol stops the fit once a
+    # step gains less than that at k = _STOP_SIGMA, below the data's
+    # resolution, rather than when rounding happens to end it.
     res = least_squares(
         lambda x: obj.residuals(x) / norm,
         obj.x0,
@@ -403,12 +419,10 @@ def fit(traces, problem: FitProblem) -> FitResult:
         method="trf",
         x_scale="jac",
         xtol=1e-10,
-        ftol=1e-12,
+        ftol=_STOP_SIGMA**2 / max(dof, 1),
         gtol=1e-12,
         max_nfev=200 * (len(obj.x0) + 1),
     )
-    # Each trace's profiled scale and offset use up two degrees of freedom too.
-    dof = res.fun.size - obj.x0.size - 2 * len(traces)
     s2 = 2.0 * res.cost / dof if dof > 0 and res.cost > 0 else 1.0
 
     warnings: list[str] = []

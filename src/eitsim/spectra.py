@@ -31,6 +31,7 @@ partial fractions per line.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field, replace
 
@@ -200,7 +201,8 @@ def _real_basis(d_delta: np.ndarray, d_tp: np.ndarray):
     coordinates, and T A T^-1 is real for a generator A that preserves
     Hermiticity.  The entries of T and T^-1 are 1, 1/2, +-i and +-i/2:
     multiplying by them is exact, and each entry of T A T^-1 sums at most
-    four entries of A.
+    four entries of A.  Kernels take T and T^-1 through _frame, which caches
+    them per pair of derivatives and makes them read-only.
     """
     n = len(d_delta)
     i, j = np.triu_indices(n, 1)
@@ -223,6 +225,32 @@ def _real_basis(d_delta: np.ndarray, d_tp: np.ndarray):
     return t, tinv, range(ends[0], ends[2]), range(ends[1], ends[3])
 
 
+@functools.lru_cache(maxsize=8)
+def _frame(d_delta: tuple, d_tp: tuple):
+    """_real_basis's (T, T^-1, P, Q) for the per-level detuning derivatives
+    d_delta and d_tp, and each detuning's real update on its range: the
+    delta_block on Q and the tp_block on P of _SweepKernel.
+
+    The derivatives fix all of it, and no fit parameter or magnetic field
+    moves them, so the frame is cached on them and shared by every kernel of
+    the same level structure; its arrays are read-only.
+    """
+    d_delta, d_tp = np.array(d_delta), np.array(d_tp)
+    t, tinv, p, q = _real_basis(d_delta, d_tp)
+
+    def block(deriv, idx):
+        """The real update of one detuning on its range idx."""
+        # -i 2pi (deriv_i - deriv_j) on vec index i + n j
+        diag = -1j * TWO_PI * np.subtract.outer(deriv, deriv).ravel(order="F")
+        s = slice(idx.start, idx.stop)
+        return (t[s] @ (diag[:, None] * tinv[:, s])).real
+
+    delta_block, tp_block = block(d_delta, q), block(d_tp, p)
+    for array in (t, tinv, delta_block, tp_block):
+        array.setflags(write=False)
+    return t, tinv, p, q, delta_block, tp_block
+
+
 class _SweepKernel:
     """Steady-state solver for a fixed model over (shift, two-photon) points.
 
@@ -236,6 +264,10 @@ class _SweepKernel:
     d*delta_block + t*tp_block, each block acting on one contiguous range:
     the two-photon detuning on the coherences P of the probe-driven ground
     levels (tp_idx), the shift on the optical coherences Q (delta_idx).
+    T, T^-1, the ranges and both blocks depend on the detuning derivatives
+    alone, so they come from _frame's cache, read-only and shared by every
+    kernel of the same level structure; a0, its Hermiticity check and the
+    read-out are formed per kernel.
 
     A line holds one detuning fixed and varies the other, u, whose block V
     acts on the range S: B = A + u E_S V E_S^T, with A the line's matrix at
@@ -270,22 +302,13 @@ class _SweepKernel:
         n = spec.n_levels
         a, _ = _bordered_system(liouvillian_for(spec, DetuningPoint(0.0, 0.0)).matrix, n)
         d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
-        t, tinv, self.tp_idx, self.delta_idx = _real_basis(d_delta, d_tp)
+        t, tinv, self.tp_idx, self.delta_idx, self.delta_block, self.tp_block = _frame(
+            tuple(d_delta.tolist()), tuple(d_tp.tolist()))
 
         a0 = t @ a @ tinv
         if not np.abs(a0.imag).max() <= _MAX_IMAG * np.abs(a).max():
             raise ValueError("generator does not preserve Hermiticity")
         self.a0 = a0.real.copy()
-
-        def block(deriv, idx):
-            """The real update of one detuning on its range idx."""
-            # -i 2pi (deriv_i - deriv_j) on vec index i + n j
-            diag = -1j * TWO_PI * np.subtract.outer(deriv, deriv).ravel(order="F")
-            s = slice(idx.start, idx.stop)
-            return (t[s] @ (diag[:, None] * tinv[:, s])).real
-
-        self.delta_block = block(d_delta, self.delta_idx)
-        self.tp_block = block(d_tp, self.tp_idx)
 
         # The probe read-out weights @ (Im vec[idx] - Im vec[idx_t]) is real
         # linear in the real coordinates and touches one per coupling.

@@ -294,6 +294,18 @@ class TestCheck:
         assert cli.main(["check", "--config", cfg]) == 2
         assert "config error: calibration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("calibration", [None, {"omega_ref": 7.4}])
+    def test_overflowing_product_is_config_error(self, tmp_path, capsys, calibration):
+        # delta_i * gamma_g = inf used to print an infinite minimum Rabi
+        # frequency and exit 0, or exit 3 on the calibration.
+        cfg = {"units": "Hz", "omega_c": 1.0, "delta_i": 1e200, "gamma_g": 1e200}
+        if calibration is not None:
+            cfg["calibration"] = calibration
+        assert cli.main(["check", "--config", write_json(tmp_path / "check.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: delta_i * gamma_g: ")
+
     def test_zero_dephasing_message(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "check.json",

@@ -20,6 +20,7 @@ from eitsim.fitting import (
 from eitsim.model import DriveField
 from eitsim.spectra import (
     InhomogeneitySpec,
+    _frame,
     _SweepKernel,
     homogeneous_spectrum,
     inhomogeneous_spectrum,
@@ -201,6 +202,47 @@ def duplicated_jacobian_column():
     return mock.patch("eitsim.fitting.least_squares", optimizer)
 
 
+def rescaled_jacobian(eps, ftol=None):
+    """A patch under which fit's optimizer sees the Jacobian times (1 +
+    eps), a change at the level of rounding, and stops by ftol if given."""
+    from scipy.optimize import least_squares
+
+    def optimizer(fun, x0, jac, **kwargs):
+        if ftol is not None:
+            kwargs["ftol"] = ftol
+        return least_squares(fun, x0, jac=lambda x: jac(x) * (1.0 + eps), **kwargs)
+
+    return mock.patch("eitsim.fitting.least_squares", optimizer)
+
+
+def power_series(n_samples):
+    """Four Lambda traces at 0.25, 1, 4 and 16 mW on 41 points over +-20
+    MHz, from a finer ensemble of n_samples shifts than the fit's 101, with
+    gamma_e = 10 MHz, gamma_g* = 100 kHz and Omega_c = 3 MHz at 1 mW; and the
+    problem that fits all three, the control by sqrt(P), from 10-25 % off."""
+    grid = np.linspace(-2e7, 2e7, 41)
+    truth = presets.three_level_lambda()
+    for name, value in (("gamma_e", 1e7), ("gamma_g_star", 1e5)):
+        truth = apply_parameter(truth, name, value)
+    traces = []
+    for power_mw in (0.25, 1.0, 4.0, 16.0):
+        spec = apply_parameter(truth, "omega_c", 3e6 * np.sqrt(power_mw))
+        absorbance = inhomogeneous_spectrum(
+            spec, InhomogeneitySpec(100e9, n_samples=n_samples), grid).absorbance
+        traces.append(ObservedTrace(grid, absorbance, power=power_mw * 1e-3))
+    problem = FitProblem(
+        template=presets.three_level_lambda(),
+        inhom=InhomogeneitySpec(100e9, n_samples=101),
+        parameters=(
+            FreeParameter("gamma_e", 8e6, 5e5, 5e7),
+            FreeParameter("gamma_g_star", 7.5e4, 1e3, 2e6),
+            FreeParameter("omega_c", 2.7e6, 1e5, 5e7),
+        ),
+        rabi_power_scaling=True,
+    )
+    return traces, problem
+
+
 class TestFit:
     def problem(self, **kw):
         return FitProblem(
@@ -297,6 +339,16 @@ class TestFit:
         r2 = fit([trace], self.problem())
         assert r1.estimates == r2.estimates
         assert np.array_equal(r1.covariance, r2.covariance)
+
+    def test_one_frame_per_fit(self):
+        # Every kernel of a fit shares the level structure, so the real-basis
+        # frame is made once and read from the cache after that.
+        trace = generate(presets.three_level_lambda(), noise=0.002, seed=4)
+        _frame.cache_clear()
+        fit([trace], self.problem())
+        info = _frame.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits > 0
 
     def test_covariance_shape_and_symmetry(self):
         trace = generate(presets.three_level_lambda(), noise=0.002, seed=5)
@@ -428,6 +480,33 @@ class TestFit:
         s1 = obj.spec_for_trace(1, x)
         assert s0.control.couplings[0].rabi == pytest.approx(5e6)
         assert s1.control.couplings[0].rabi == pytest.approx(10e6)
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("n_samples", [801, 2001, 4001])
+    def test_stopping_point_does_not_depend_on_rounding(self, n_samples):
+        # With ftol = 1e-12 the last steps gained about 1e-15 of the cost,
+        # and 1e-15 of the Jacobian turned 8/8 evaluations into 10/7 on the
+        # series at 801 shifts and 10/7 into 8/8 at 4001.
+        traces, problem = power_series(n_samples)
+        counts = set()
+        for eps in (0.0, 1e-15, -1e-15, 3e-15, -3e-15):
+            with rescaled_jacobian(eps):
+                result = fit(traces, problem)
+            assert result.converged
+            counts.add((result.nfev, result.njev))
+        assert len(counts) == 1, counts
+
+    def test_earlier_stop_costs_under_a_thousandth_sigma(self):
+        noisy = generate(presets.three_level_lambda(), scale=3.0, offset=0.01, noise=0.002,
+                         seed=1)
+        for traces, problem in (([noisy], TestFit().problem()), power_series(2001)):
+            result = fit(traces, problem)
+            with rescaled_jacobian(0.0, ftol=1e-12):
+                tight = fit(traces, problem)
+            for name, value in result.estimates.items():
+                gap = abs(value - tight.estimates[name])
+                assert gap <= 1e-3 * result.uncertainties[name], name
 
 
 def test_zero_control_under_power_scaling():

@@ -28,6 +28,7 @@ from eitsim.spectra import (
     InhomogeneitySpec,
     NonConvergedSampling,
     SpectrumTrace,
+    _frame,
     _probe_readout,
     _real_basis,
     _SweepKernel,
@@ -749,6 +750,27 @@ class TestSweepKernel:
         x = (t @ rho.ravel(order="F")).real
         assert np.isclose(x[kernel.probe_idx] @ kernel.probe_w,
                           probe_absorption(rho, spec), rtol=1e-14, atol=0.0)
+
+    def test_cached_frame_changes_no_bit(self):
+        # A kernel whose frame was made for another model of the same level
+        # structure equals one that made its own, bit for bit.
+        spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
+        _frame.cache_clear()
+        fresh = _SweepKernel(spec)
+        _frame.cache_clear()
+        _SweepKernel(apply_parameter(spec, "gamma_e", 2 * presets.GAMMA_E))
+        cached = _SweepKernel(spec)
+        assert (_frame.cache_info().misses, _frame.cache_info().hits) == (1, 1)
+        for name in ("a0", "delta_block", "tp_block", "readout"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name)), name
+        assert (fresh.tp_idx, fresh.delta_idx) == (cached.tp_idx, cached.delta_idx)
+        # The shared arrays refuse writes; a0 is the kernel's own.
+        d_delta, d_tp = detuning_derivatives(spec, assign_rotating_frame(spec))
+        t, tinv, *_ = _frame(tuple(d_delta.tolist()), tuple(d_tp.tolist()))
+        for array in (t, tinv, cached.delta_block, cached.tp_block):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert cached.a0.flags.writeable
 
     def test_worker_counts_bit_identical(self):
         spec = presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6)
