@@ -363,6 +363,9 @@ def cmd_check(args) -> int:
     if not np.isfinite(delta_i * gamma_g):
         raise ConfigError(f"delta_i * gamma_g: {delta_i:g} Hz * {gamma_g:g} Hz "
                           "overflows; the threshold needs a finite product")
+    if not np.isfinite(omega_c * omega_c):
+        raise ConfigError(f"omega_c: {omega_c:g} Hz squared overflows; the threshold "
+                          "compares a finite omega_c^2 with delta_i * gamma_g")
     calib = cfg.get("calibration")
     if calib is not None:
         omega_ref = _number(calib, "omega_ref", "calibration", low=0.0, above=True,

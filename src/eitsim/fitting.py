@@ -10,10 +10,12 @@ the optimizer only sees the physical parameters.  Its Jacobian is exact: the
 sweep kernel returns each model spectrum's gradient with the spectrum, its
 adjoint rows formed from the same factors as the states, and the profiled
 nuisances enter by the variable-projection derivative (Golub & Pereyra 1973,
-SIAM J. Numer. Anal. 10:413).  One cached record per trace and point holds
-the model and its projection, formed by one pseudo-inverse; the residual, the
-Jacobian, the fitted curves and the identifiability report all read it, and
-the residual scale reads the data alone.  No finite differences are taken.
+SIAM J. Numer. Anal. 10:413).  At each point one sweep pass evaluates every
+trace, all of their lines factored together.  One cached record per trace
+and point holds the model and its projection, formed by one pseudo-inverse;
+the residual, the Jacobian, the fitted curves and the identifiability report
+all read it, and the residual scale reads the data alone.  No finite
+differences are taken.
 The fit stops at its statistical resolution, once a step lowers the cost by
 less than _STOP_SIGMA^2 / dof of itself (dof residual degrees of freedom):
 what a move of _STOP_SIGMA of each uncertainty would gain.  So rounding
@@ -33,7 +35,7 @@ from .model import Dephasing, LevelSystemSpec
 from .spectra import (
     InhomogeneitySpec,
     _check_workers,
-    _sweep,
+    _sweep_traces,
     _SweepKernel,
     homogeneous_linewidth,
     rabi_from_power,
@@ -252,6 +254,7 @@ class _Objective:
         self.lower = np.array([p.lower for p in self.param_of_slot])
         self.upper = np.array([p.upper for p in self.param_of_slot])
         self._cache: dict[tuple, tuple] = {}  # _profile's records
+        self._pass: tuple = (None, None)  # model's last point and its pass
         # Each trace's data side: weights w, the w^2-weighted mean s_bar and the
         # spread ws = w (s - s_bar), centred so that a large offset costs no digits.
         self.data = []
@@ -308,9 +311,16 @@ class _Objective:
     def model(self, t: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Model spectrum of trace t at x, bit-equal to inhomogeneous_spectrum's
         on the frozen shift grid, and its gradient over trace t's slots,
-        shape (len(slots), points).  Uncached: _profile caches its result."""
-        return _sweep(_SweepKernel(self.spec_for_trace(t, x)), self.shift_grid,
-                      self.traces[t].delta_grid, self.problem.workers, self.blocks[t])
+        shape (len(slots), points).  Read from one pass over every trace at
+        x, which factors the lines of all traces together; only the last
+        point's pass is kept, as _profile caches each trace's result."""
+        key = tuple(map(float, x))
+        if self._pass[0] != key:
+            kernels = [_SweepKernel(self.spec_for_trace(u, x)) for u in range(len(self.traces))]
+            self._pass = key, _sweep_traces(
+                kernels, self.shift_grid, [trace.delta_grid for trace in self.traces],
+                self.problem.workers, self.blocks)
+        return self._pass[1][t]
 
     def _profile(self, t: int, x: np.ndarray):
         """Trace t's record at x, formed once per point: the model m, with

@@ -22,11 +22,14 @@ fixed number of points (a reduced tile factors _GROUPS times as many lines
 at once, and sums over the shifts a group of lines at a time) and reduces
 each tile to its weighted partial at once, added in tile order (see _sweep),
 so memory does not grow with the shift count and results are bit-identical
-for any worker count.  For a fit the same pass also gives the gradient of
-the average with respect to parameters that enter the generator affinely,
-from the same factors and the value's own shift terms: their weighted
-products among a line's poles with Im lam >= 0, the rest by conjugation and
-partial fractions per line.
+for any worker count.  The traces of one frame, such as a fit's at one
+point, go in one pass (_sweep_traces): a reduced tile holds that tile of
+every trace, one factorisation takes all their lines, and each trace's
+result is bit for bit its own sweep's.  For a fit the same pass also gives
+the gradient of the average with respect to parameters that enter the
+generator affinely, from the same factors and the value's own shift terms:
+their weighted products among a line's poles with Im lam >= 0, the rest by
+conjugation and partial fractions per line.
 """
 
 from __future__ import annotations
@@ -537,7 +540,8 @@ class _SweepKernel:
                  weights: np.ndarray, blocks: np.ndarray | None = None):
         """weights @ absorbance(deltas, two_photons), shape (nt,), reduced over
         the shifts in pole space; with blocks also its gradient (K, nt) as
-        absorbance gives it.
+        absorbance gives it.  This is the one-kernel case of _average_traces,
+        which reduces the lines of several kernels of one frame in one pass.
 
         Per two-photon line, with the factors of _line_factors, beta =
         W^-1 y_S, D(d) = diag(1 / (1 + d lam)) and zeta = c_S W (the class
@@ -576,88 +580,120 @@ class _SweepKernel:
         conjugate of another, has only its gradient redone, so its value
         stays the one _average(..., blocks=None) gives.
         """
-        v_block, s = self.delta_block, slice(self.delta_idx.start, self.delta_idx.stop)
-        p = slice(self.tp_idx.start, self.tp_idx.stop)
-        a = np.broadcast_to(self.a0, (len(two_photons),) + self.a0.shape).copy()
-        a[:, p, p] += two_photons[:, None, None] * self.tp_block
-        out = np.zeros(len(two_photons))
-        grad = None if blocks is None else np.zeros((len(blocks), len(two_photons)))
-        try:
-            y, g, lam, w, winv, count, resid, cond, r_s = self._line_factors(
-                a, self.delta_idx, v_block, blocks is not None)
-        except np.linalg.LinAlgError:
-            ok = grad_ok = np.zeros(len(two_photons), dtype=bool)
-        else:
-            norm = np.linalg.norm(a, np.inf, axis=(1, 2))
-            beta = (winv @ y[:, s, None])[..., 0]
+        out, grad = _average_traces([(self, two_photons, blocks)], deltas, weights)[0]
+        return out if blocks is None else (out, grad)
 
-            def poles(d, lam):
-                """1 / (1 + d lam) for poles lam, (len(lam), len(d), lam.shape[1])."""
-                r = d[:, None] * lam[:, None]
-                r += 1.0
-                return np.divide(1.0, r, out=r)
 
-            zeta = self.readout[s] @ w
-            alpha = zeta * beta * count
-            step = max(1, self._reduced_points() // len(deltas))
-            if blocks is not None:
-                s0 = np.zeros(lam.shape, complex)
-                s1 = np.zeros(lam.shape + lam.shape[1:], complex)
-            for j in range(0, len(two_photons), step):
-                lines = slice(j, j + step)
+def _average_traces(parts, deltas: np.ndarray, weights: np.ndarray):
+    """_SweepKernel._average over the lines of several kernels at once: parts
+    holds one (kernel, two_photons, blocks) per trace, every kernel built on
+    one frame (see _frame) and every blocks None or none.  Returns one
+    (average, gradient or None) per part, each bit for bit the part's own
+    _average call.
+
+    Each line builds A from its own kernel's a0, and one _line_factors call
+    factors every line of every part.  The shift-sum groups stay inside one
+    part and start at its first line, as in its own call.  Each line's
+    read-out, gradient and redo (_redo_line) use its own kernel and blocks,
+    and every other step is per line, so no line's result depends on the
+    other parts.
+    """
+    kernel = parts[0][0]  # the frame every part shares
+    v_block, s = kernel.delta_block, slice(kernel.delta_idx.start, kernel.delta_idx.stop)
+    p = slice(kernel.tp_idx.start, kernel.tp_idx.stop)
+    adjoint = parts[0][2] is not None
+    ends = np.cumsum([len(two_photons) for _, two_photons, _ in parts])
+    segs = [slice(end - len(two_photons), end) for (_, two_photons, _), end in zip(parts, ends)]
+    a = np.empty((ends[-1],) + kernel.a0.shape)
+    for (own, two_photons, _), seg in zip(parts, segs):
+        a[seg] = own.a0
+        a[seg, p, p] += two_photons[:, None, None] * kernel.tp_block
+    out = np.zeros(len(a))
+    grads = [None if blocks is None else np.zeros((len(blocks), len(two_photons)))
+             for _, two_photons, blocks in parts]
+    try:
+        y, g, lam, w, winv, count, resid, cond, r_s = kernel._line_factors(
+            a, kernel.delta_idx, v_block, adjoint)
+    except np.linalg.LinAlgError:
+        ok = grad_ok = np.zeros(len(a), dtype=bool)
+    else:
+        norm = np.linalg.norm(a, np.inf, axis=(1, 2))
+        beta = (winv @ y[:, s, None])[..., 0]
+
+        def poles(d, lam):
+            """1 / (1 + d lam) for poles lam, (len(lam), len(d), lam.shape[1])."""
+            r = d[:, None] * lam[:, None]
+            r += 1.0
+            return np.divide(1.0, r, out=r)
+
+        zeta = np.concatenate([own.readout[s] @ w[seg] for (own, _, _), seg in zip(parts, segs)])
+        alpha = zeta * beta * count
+        step = max(1, kernel._reduced_points() // len(deltas))
+        if adjoint:
+            s0 = np.zeros(lam.shape, complex)
+            s1 = np.zeros(lam.shape + lam.shape[1:], complex)
+        for seg in segs:
+            for j in range(seg.start, seg.stop, step):
+                lines = slice(j, min(j + step, seg.stop))
                 k = int((count[lines] > 0).sum(axis=1).max())
                 r = poles(deltas, lam[lines, :k])
                 sums = weights @ r
                 out[lines] = (alpha[lines, :k] * sums).sum(axis=1).real
-                if blocks is not None:
+                if adjoint:
                     s0[lines, :k] = sums
                     s1[lines, :k, :k] = (r * (weights * deltas)[:, None]).swapaxes(1, 2) @ r
                 del r  # so that the next group's array is not held with it
-            # x(d) at three shifts; NaN-safe as in absorbance.
-            d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
-            vw = v_block @ w
-            pw = g @ vw  # P = G V W
-            r3 = poles(d3, lam)
-            x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * r3)
-                               @ pw.swapaxes(1, 2)).real
-            res = x3 @ a.swapaxes(1, 2)
-            res[..., s] += d3[:, None] * (x3[..., s] @ v_block.T)
-            res[..., 0] -= 1.0
-            ok = (resid <= 1e-10 * norm) & (cond <= _MAX_COND_W)
-            ok &= np.abs(res).max(axis=(1, 2)) <= 1e-10 * norm
-            # The value's own sum, its counted poles and zeta, against the
-            # read-out of x(d) there: over the presets and 200 random_model
-            # draws they differ by at most 6.5e-11 of their magnitude.
-            probe = x3[..., self.probe_idx]
-            gap = np.abs((alpha[:, None] * r3).sum(axis=2).real - probe @ self.probe_w)
-            scale = (np.abs(zeta * beta)[:, None] * np.abs(r3)).sum(axis=2)
-            scale += np.abs(probe) @ np.abs(self.probe_w)
-            ok &= (gap <= 1e-8 * scale).all(axis=1)
-            ok &= np.isfinite(out)
-            grad_ok = ok
-            if blocks is not None:
-                s1, apart = _pole_products(lam, count, s0, s1)
-                s1 *= zeta[:, :, None] * beta[:, None, :]  # diag(zeta) S1 diag(beta)
-                r_t = r_s.swapaxes(1, 2)  # R^T
-                # Re(X P^T) as one real product: a complex array viewed as
-                # float interleaves (Re, Im), so conj(X) against P is it.
-                x = r_t @ s1
-                np.conjugate(x, out=x)
-                core = x.view(float) @ pw.view(float).swapaxes(1, 2)
-                del x  # before the (L, m, m) temporary below
-                core -= (r_t @ (s0 * zeta)[..., None]).real * y[:, None, :]
+        # x(d) at three shifts; NaN-safe as in absorbance.
+        d3 = deltas[[np.argmax(weights), 0, len(deltas) - 1]]
+        vw = v_block @ w
+        pw = g @ vw  # P = G V W
+        r3 = poles(d3, lam)
+        x3 = y[:, None] - (((d3[:, None] * beta[:, None]) * r3)
+                           @ pw.swapaxes(1, 2)).real
+        res = x3 @ a.swapaxes(1, 2)
+        res[..., s] += d3[:, None] * (x3[..., s] @ v_block.T)
+        res[..., 0] -= 1.0
+        ok = (resid <= 1e-10 * norm) & (cond <= _MAX_COND_W)
+        ok &= np.abs(res).max(axis=(1, 2)) <= 1e-10 * norm
+        # The value's own sum, its counted poles and zeta, against the
+        # read-out of x(d) there: over the presets and 200 random_model
+        # draws they differ by at most 6.5e-11 of their magnitude.
+        read, size = np.empty((2, len(a), len(d3)))
+        for (own, _, _), seg in zip(parts, segs):
+            probe = x3[seg][..., own.probe_idx]
+            read[seg], size[seg] = probe @ own.probe_w, np.abs(probe) @ np.abs(own.probe_w)
+        gap = np.abs((alpha[:, None] * r3).sum(axis=2).real - read)
+        scale = (np.abs(zeta * beta)[:, None] * np.abs(r3)).sum(axis=2)
+        scale += size
+        ok &= (gap <= 1e-8 * scale).all(axis=1)
+        ok &= np.isfinite(out)
+        grad_ok = ok
+        if adjoint:
+            s1, apart = _pole_products(lam, count, s0, s1)
+            s1 *= zeta[:, :, None] * beta[:, None, :]  # diag(zeta) S1 diag(beta)
+            r_t = r_s.swapaxes(1, 2)  # R^T
+            # Re(X P^T) as one real product: a complex array viewed as
+            # float interleaves (Re, Im), so conj(X) against P is it.
+            x = r_t @ s1
+            np.conjugate(x, out=x)
+            core = x.view(float) @ pw.view(float).swapaxes(1, 2)
+            del x  # before the (L, m, m) temporary below
+            core -= (r_t @ (s0 * zeta)[..., None]).real * y[:, None, :]
+            grad_ok = ok & apart
+            for i, ((_, two_photons, blocks), seg) in enumerate(zip(parts, segs)):
                 # One product per line, so that a line's gradient does not
                 # depend on the other lines of the call.
-                grad = (core.reshape(len(core), 1, -1)
-                        @ blocks.reshape(len(blocks), -1).T)[:, 0].T
-                grad_ok = ok & apart & np.isfinite(grad).all(axis=0)
-        for k in np.flatnonzero(~grad_ok):
-            values, terms = self._redo_line(deltas, two_photons[k], blocks)
-            if not ok[k]:
-                out[k] = weights @ values
+                grads[i] = (core[seg].reshape(len(two_photons), 1, -1)
+                            @ blocks.reshape(len(blocks), -1).T)[:, 0].T
+                grad_ok[seg] &= np.isfinite(grads[i]).all(axis=0)
+    for (own, two_photons, blocks), seg, grad in zip(parts, segs, grads):
+        for j in np.flatnonzero(~grad_ok[seg]):
+            values, terms = own._redo_line(deltas, two_photons[j], blocks)
+            if not ok[seg.start + j]:
+                out[seg.start + j] = weights @ values
             if blocks is not None:
-                grad[:, k] = terms @ weights
-        return out if blocks is None else (out, grad)
+                grad[:, j] = terms @ weights
+    return [(out[seg], grad) for seg, grad in zip(segs, grads)]
 
 
 def _pole_products(lam, count, s0, s1):
@@ -713,7 +749,8 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
            blocks: np.ndarray | None = None):
     """weights @ absorbance over shift_grid = (shifts, weights), reduced tile
     by tile; with blocks, (average, gradient) as _SweepKernel.absorbance
-    gives them.
+    gives them.  This is the one-trace case of _sweep_traces, whose tiles
+    follow.
 
     Where kernel.reduces says so, each tile is reduced per two-photon point
     by _SweepKernel._average; otherwise it is absorbance's rows per shift,
@@ -724,54 +761,87 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
     times as many two-photon points, which one _line_factors call factors,
     and sums over its shifts in groups of lines that hold at most N points
     (see _SweepKernel._average), so its memory stays near a tile of rows'.
-    Only a tile's weighted partial leaves it: no array holds a row per
-    shift.  Tile boundaries are independent of the worker count and the
-    partials are added in tile order, so the output is bit-identical for
-    any number of workers.  A shift_grid other than two 1-D arrays of one
-    non-zero length, or a non-finite shift, weight or two-photon point,
-    raises ValueError: no route can solve it.
+    Over several traces, tile b of a reduced pass is tile b of every trace
+    whose grid reaches it, and one _line_factors call factors all of their
+    lines (_average_traces; a tile of one trace goes by _average).  Rows
+    keep one tile per trace.  Only a tile's weighted partial leaves it: no
+    array holds a row per shift.  Tile boundaries are independent of the
+    worker count and of the other traces, and each trace's partials are
+    added in tile order, so the output is bit-identical for any number of
+    workers and the same in a pass of several traces as alone.  A shift_grid
+    other than two 1-D arrays of one non-zero length, or a non-finite shift,
+    weight or two-photon point, raises ValueError: no route can solve it.
+    """
+    out, grad = _sweep_traces([kernel], shift_grid, [tp_grid], workers, [blocks])[0]
+    return out if blocks is None else (out, grad)
+
+
+def _sweep_traces(kernels, shift_grid, tp_grids, workers: int, blocks):
+    """_sweep for several traces in one pass, in the tiles that _sweep
+    describes: kernels, tp_grids and blocks (each None, or each (K, m, m))
+    hold one entry per trace.  Returns one (average, gradient or None) per
+    trace, each bit for bit that trace's own _sweep.  The kernels must share
+    one frame (see _frame), as the reduction applies one kernel's detuning
+    blocks to every line; kernels that do not raise ValueError.
     """
     shifts, weights = (np.asarray(a, dtype=float) for a in shift_grid)
     if shifts.ndim != 1 or shifts.shape != weights.shape or not len(shifts):
         raise ValueError("shift_grid (or control_detuning) must be two 1-D arrays of one "
                          f"non-zero length, got shapes {shifts.shape} and {weights.shape}")
     for grid, name in ((shifts, "shift_grid (or control_detuning)"),
-                       (weights, "shift_grid weights"), (tp_grid, "delta_grid")):
+                       (weights, "shift_grid weights"), *((g, "delta_grid") for g in tp_grids)):
         if not np.isfinite(grid).all():
             raise ValueError(f"{name} must be finite")
-    reduce = kernel.reduces(len(shifts))
-    points = kernel._reduced_points() if reduce else _POINTS
-    closed = len(shifts) if reduce else len(tp_grid)
-    factored = max(1, points // max(closed, 1))
-    sd, st = (points, _GROUPS * factored) if reduce else (factored, points)
+    first = kernels[0]
+    if any(k.delta_block is not first.delta_block or k.tp_block is not first.tp_block
+           for k in kernels):
+        raise ValueError("the kernels of one sweep must share one frame")
+    reduce = first.reduces(len(shifts))
+    if reduce:
+        points = first._reduced_points()
+        sd, st = points, _GROUPS * max(1, points // len(shifts))
+        tiles = [(a, sd, [(i, b) for i, grid in enumerate(tp_grids) if b < len(grid)])
+                 for a in range(0, len(shifts), sd)
+                 for b in range(0, max(map(len, tp_grids)), st)]
+    else:
+        st, tiles = _POINTS, []
+        for i, grid in enumerate(tp_grids):
+            sd = max(1, _POINTS // max(len(grid), 1))
+            tiles += [(a, sd, [(i, b)]) for a in range(0, len(shifts), sd)
+                      for b in range(0, len(grid), st)]
 
     def run(tile):
-        a, b = tile
-        d, t, w = shifts[a : a + sd], tp_grid[b : b + st], weights[a : a + sd]
+        a, sd, pieces = tile
+        d, w = shifts[a : a + sd], weights[a : a + sd]
+        parts = [(kernels[i], tp_grids[i][b : b + st], blocks[i]) for i, b in pieces]
+        if len(parts) > 1:
+            return _average_traces(parts, d, w)
+        ((kernel, t, grad_blocks),) = parts
         if reduce:
-            out = kernel._average(d, t, w, blocks)
-            return (out, None) if blocks is None else out
-        if blocks is None:
-            return w @ kernel.absorbance(d, t), None
-        rows, grad = kernel.absorbance(d, t, blocks, w)
-        return w @ rows, grad
+            out = kernel._average(d, t, w, grad_blocks)
+            return [(out, None) if grad_blocks is None else out]
+        if grad_blocks is None:
+            return [(w @ kernel.absorbance(d, t), None)]
+        rows, grad = kernel.absorbance(d, t, grad_blocks, w)
+        return [(w @ rows, grad)]
 
-    tiles = [(a, b) for a in range(0, len(shifts), sd) for b in range(0, len(tp_grid), st)]
     # glibc returns freed heap to the OS whenever the free space at its top
     # exceeds twice the largest block it has unmapped, so without a block
     # that large every tile pages in its temporaries (a few of _POINTS x m
     # floats) afresh: a six-field fig5 map took 433k minor page faults,
     # against 82k with a row per shift and 7k with this line.  An untouched
     # block costs no page.
-    np.empty(4 * _POINTS * len(kernel.a0))
-    out = np.zeros(len(tp_grid))
-    grad = None if blocks is None else np.zeros((len(blocks), len(tp_grid)))
+    np.empty(4 * _POINTS * len(first.a0))
+    outs = [np.zeros(len(grid)) for grid in tp_grids]
+    grads = [None if b is None else np.zeros((len(b), len(grid)))
+             for b, grid in zip(blocks, tp_grids)]
 
     def add(partials):
-        for (_, b), (part, g) in zip(tiles, partials):
-            out[b : b + st] += part
-            if g is not None:
-                grad[:, b : b + st] += g
+        for (_, _, pieces), results in zip(tiles, partials):
+            for (i, b), (part, g) in zip(pieces, results):
+                outs[i][b : b + st] += part
+                if g is not None:
+                    grads[i][:, b : b + st] += g
 
     if workers > 1 and len(tiles) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -780,7 +850,7 @@ def _sweep(kernel: _SweepKernel, shift_grid, tp_grid: np.ndarray, workers: int,
             add(pool.map(run, tiles))
     else:
         add(map(run, tiles))
-    return out if blocks is None else (out, grad)
+    return list(zip(outs, grads))
 
 
 def homogeneous_spectrum(

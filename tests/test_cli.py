@@ -306,6 +306,18 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("config error: delta_i * gamma_g: ")
 
+    @pytest.mark.parametrize("calibration", [None, {"omega_ref": 7.4}])
+    def test_overflowing_control_square_is_config_error(self, tmp_path, capsys, calibration):
+        # eit_threshold squares omega_c, which raised OverflowError (exit 3,
+        # "engine error: (34, 'Numerical result out of range')").
+        cfg = {"units": "Hz", "omega_c": 1e200, "delta_i": 2.0, "gamma_g": 3.0}
+        if calibration is not None:
+            cfg["calibration"] = calibration
+        assert cli.main(["check", "--config", write_json(tmp_path / "check.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: omega_c: ")
+
     def test_zero_dephasing_message(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "check.json",

@@ -424,6 +424,24 @@ class TestFit:
             m = obj.model(t, x)[0]
             assert np.array_equal(curve, result.scales[t] * m + result.offsets[t])
 
+    def test_one_factorisation_per_point(self):
+        # The benchmark's shape, 4 traces x 41 points reduced over 301 shifts:
+        # each point's one pass factors the lines of every trace in one
+        # _line_factors call, where each trace used to make its own.
+        traces, problem = power_series(801)
+        shifts, _ = _Objective(traces, problem).shift_grid
+        assert _SweepKernel(problem.template).reduces(len(shifts))
+        factors, lines = _SweepKernel._line_factors, []
+
+        def counted(self, a, *args):
+            lines.append(len(a))
+            return factors(self, a, *args)
+
+        with mock.patch.object(_SweepKernel, "_line_factors", counted):
+            result = fit(traces, problem)
+        assert result.converged
+        assert lines == [4 * 41] * result.nfev
+
     @pytest.mark.parametrize("level", [0.0, 2.5])
     def test_flat_series_rejected(self, level):
         # The profiled offset fits a constant exactly, so the fit used to stop

@@ -127,6 +127,17 @@ class TestBuild:
         lam = np.linalg.eigvals(sup)
         assert np.abs(lam.real).max() < 1e-6
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hamiltonian_part_is_the_kron_form_bit_for_bit(self, n):
+        # The broadcast products are np.kron's, so no generator moves a bit.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            h = 1e6 * (a + a.conj().T)
+            eye = np.eye(n)
+            kron = -1j * 2.0 * np.pi * (np.kron(eye, h) - np.kron(h.T, eye))
+            assert np.array_equal(hamiltonian_superoperator(h), kron)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_liouvillian(np.zeros((2, 3)))

@@ -853,6 +853,90 @@ def parameter_blocks(spec, names, values):
     return np.array([(a0(n, 2 * v) - a0(n, v)) / v for n, v in zip(names, values)])
 
 
+class TestTracePass:
+    """spectra._sweep_traces: the traces of one frame in one pass, every line
+    of a reduced tile factored together, each trace bit for bit its own
+    _sweep."""
+
+    NAMES = ("gamma_e", "gamma_g_star", "omega_c")
+
+    def series(self, n_shifts):
+        # Three Lambda traces at control Rabi frequencies of 1.5, 3 and 6 MHz
+        # (0.25, 1 and 4 mW at sqrt(P)) on grids of 41, 9 and 100 points.
+        kernels, blocks = [], []
+        for omega in (1.5e6, 3e6, 6e6):
+            spec = apply_parameter(presets.three_level_lambda(), "omega_c", omega)
+            kernels.append(_SweepKernel(spec))
+            blocks.append(parameter_blocks(spec, self.NAMES, (1e7, 1e5, omega)))
+        grids = [np.linspace(-2e7, 2e7, n) for n in (41, 9, 100)]
+        shifts = np.linspace(-3e9, 3e9, n_shifts)
+        weights = np.exp(-0.5 * (shifts / 1e9) ** 2)
+        return kernels, grids, blocks, (shifts, weights / weights.sum())
+
+    @pytest.mark.parametrize("n_shifts", [101, 7], ids=["reduced", "rows"])
+    @pytest.mark.parametrize("points", [16, 100])
+    def test_each_trace_is_its_own_sweep(self, monkeypatch, n_shifts, points):
+        # At 16 points to a tile a reduced tile takes 36 of the 101 shifts
+        # and 4 lines of each trace; at 100, all the shifts and 8 lines in
+        # groups of 2, so the 41- and 9-point traces end in a part group.
+        # Rows keep a tile per trace.
+        monkeypatch.setattr(spectra, "_POINTS", points)
+        kernels, grids, blocks, shift_grid = self.series(n_shifts)
+        assert kernels[0].reduces(n_shifts) == (n_shifts == 101)
+        own = [spectra._sweep(k, shift_grid, g, 1, b) for k, g, b in zip(kernels, grids, blocks)]
+        bare = [spectra._sweep(k, shift_grid, g, 1) for k, g in zip(kernels, grids)]
+        factors = _SweepKernel._line_factors
+        calls = []
+        monkeypatch.setattr(_SweepKernel, "_line_factors",
+                            lambda self, a, *args: calls.append(len(a)) or factors(self, a, *args))
+        for workers in (1, 3):
+            passed = spectra._sweep_traces(kernels, shift_grid, grids, workers, blocks)
+            for (value, grad), (ref_value, ref_grad) in zip(passed, own):
+                assert np.array_equal(value, ref_value)
+                assert np.array_equal(grad, ref_grad)
+            passed = spectra._sweep_traces(kernels, shift_grid, grids, workers, [None] * 3)
+            for (value, grad), ref_value in zip(passed, bare):
+                assert grad is None and np.array_equal(value, ref_value)
+        if n_shifts == 101:
+            # A reduced tile factors the lines of every trace it reaches at once.
+            step = spectra._GROUPS * max(1, points * 9 // 4 // n_shifts)
+            assert max(calls) == 3 * step
+
+    @pytest.mark.parametrize("n_shifts", [101, 7], ids=["reduced", "rows"])
+    def test_every_line_redone_by_its_own_kernel(self, monkeypatch, n_shifts):
+        # With _MAX_COND_W at 0 every line fails its check and is redone
+        # by _redo_line, each with its own trace's kernel and blocks.
+        monkeypatch.setattr(spectra, "_POINTS", 16)
+        monkeypatch.setattr(spectra, "_MAX_COND_W", 0.0)
+        kernels, grids, blocks, shift_grid = self.series(n_shifts)
+        own = [spectra._sweep(k, shift_grid, g, 1, b) for k, g, b in zip(kernels, grids, blocks)]
+        redo, redone = _SweepKernel._redo_line, []
+
+        def recorded(self, deltas, two_photons, grad_blocks=None):
+            trace = next(i for i, k in enumerate(kernels) if k is self)
+            assert grad_blocks is blocks[trace]
+            points = np.atleast_1d(two_photons) if n_shifts == 101 else two_photons
+            redone.extend((trace, float(t)) for t in points)
+            return redo(self, deltas, two_photons, grad_blocks)
+
+        monkeypatch.setattr(_SweepKernel, "_redo_line", recorded)
+        passed = spectra._sweep_traces(kernels, shift_grid, grids, 3, blocks)
+        for (value, grad), (ref_value, ref_grad) in zip(passed, own):
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(grad, ref_grad)
+        # Each point once per tile of shifts: 3 of up to 36 when reduced, and
+        # as rows, once per shift.
+        lines = 3 if n_shifts == 101 else n_shifts
+        expected = sorted((i, float(t)) for i, g in enumerate(grids) for t in g for _ in range(lines))
+        assert sorted(redone) == expected
+
+    def test_kernels_of_different_frames_are_refused(self):
+        kernels, grids, blocks, shift_grid = self.series(101)
+        five = _SweepKernel(presets.five_level_double_eit(delta_k=11.1e6, delta_54=3e6))
+        with pytest.raises(ValueError, match="share one frame"):
+            spectra._sweep_traces([kernels[0], five], shift_grid, grids[:2], 1, [None, None])
+
+
 class TestReduction:
     """_SweepKernel._average: the weighted average over the shifts, reduced
     in pole space per two-photon point."""
